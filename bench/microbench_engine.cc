@@ -173,6 +173,36 @@ BM_RdmaWriteDeliver(benchmark::State &state)
 }
 BENCHMARK(BM_RdmaWriteDeliver);
 
+// Doorbell-write cost against the watchers of range(0) / 3 mqueues,
+// each installing the runtime's three watchpoints (gio RX ring, gio
+// txCons, SNIC TX ring): Arg(3) is one mqueue, Arg(720) the 240 of
+// Fig. 6's headline server. Per-write cost should not grow with W.
+void
+BM_DeviceMemoryNotify(benchmark::State &state)
+{
+    const auto queues = static_cast<std::uint64_t>(state.range(0) / 3);
+    core::MqueueLayout l;
+    pcie::DeviceMemory mem("m", queues * l.totalBytes());
+    std::uint64_t hits = 0;
+    auto wake = [&hits](std::uint64_t, std::uint64_t) { ++hits; };
+    for (std::uint64_t q = 0; q < queues; ++q) {
+        l.base = q * l.totalBytes();
+        mem.watch(l.rxRingOff(), l.ringBytes(), wake);
+        mem.watch(l.txConsOff(), 4, wake);
+        mem.watch(l.txRingOff(), l.ringBytes(), wake);
+    }
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        l.base = (i % queues) * l.totalBytes();
+        mem.writeU32(l.rxDoorbell(i), static_cast<std::uint32_t>(i));
+        benchmark::ClobberMemory();
+        ++i;
+    }
+    benchmark::DoNotOptimize(hits);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeviceMemoryNotify)->Arg(3)->Arg(720);
+
 void
 BM_MqueueCodecRoundTrip(benchmark::State &state)
 {

@@ -15,13 +15,20 @@
  * real polling would have cost. (Real hardware polls; the simulation
  * is event-driven. This "virtual polling" keeps timing faithful
  * without generating unbounded idle events; see DESIGN.md.)
+ *
+ * Watchers are indexed by start offset, so a write costs a binary
+ * search plus the watchers that start near it, however many mqueues
+ * share the region (docs/INTERNALS.md §2 has the firing rules).
  */
 
 #ifndef LYNX_PCIE_MEMORY_HH
 #define LYNX_PCIE_MEMORY_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -125,17 +132,32 @@ class DeviceMemory
     watch(std::uint64_t off, std::uint64_t len, WriteWatcher fn)
     {
         checkRange(off, len);
-        watchers_.push_back({nextWatchId_, off, len, std::move(fn)});
+        auto pos = std::upper_bound(
+            watchers_.begin(), watchers_.end(), off,
+            [](std::uint64_t o, const auto &w) { return o < w->off; });
+        watchers_.insert(pos, std::make_unique<Watcher>(Watcher{
+                                  nextWatchId_, off, len, std::move(fn)}));
+        maxLen_ = std::max(maxLen_, len);
         return nextWatchId_++;
     }
 
-    /** Remove the watchpoint @p id. */
+    /**
+     * Remove the watchpoint @p id. Called from inside a watcher, it
+     * also suppresses @p id's pending fire for the write in progress;
+     * the entry is erased once the outermost write's callbacks return.
+     */
     void
     unwatch(std::uint64_t id)
     {
-        std::erase_if(watchers_, [id](const Watcher &w) {
-            return w.id == id;
-        });
+        auto it = std::find_if(watchers_.begin(), watchers_.end(),
+                               [id](const auto &w) { return w->id == id; });
+        if (it == watchers_.end())
+            return;
+        (*it)->removed = true;
+        if (notifyDepth_ == 0)
+            eraseRemoved();
+        else
+            erasePending_ = true;
     }
 
   private:
@@ -145,7 +167,12 @@ class DeviceMemory
         std::uint64_t off;
         std::uint64_t len;
         WriteWatcher fn;
+        bool removed = false;
     };
+
+    /** Hits that fit inline, so the usual one-watcher write does not
+     *  touch the heap. */
+    static constexpr std::size_t kInlineHits = 8;
 
     void
     checkRange(std::uint64_t off, std::uint64_t len) const
@@ -155,19 +182,81 @@ class DeviceMemory
                     name_, " (size ", bytes_.size(), ")");
     }
 
+    /**
+     * Fire the watchers overlapping [off, off+len) in watch-id order.
+     * A watch [a, a+n) overlaps when off < a+n and a < off+len (so a
+     * zero-length write or watch still hits a range strictly around
+     * it). Only watchers starting in (off - maxLen_, off + len) can,
+     * so the lookup is a binary search plus a scan of that window. The
+     * fire set is fixed before the first callback runs: a watcher added
+     * by a callback waits for the next write.
+     */
     void
     notify(std::uint64_t off, std::uint64_t len)
     {
-        // Copy the list first: a watcher may add/remove watchpoints.
-        for (const auto &w : std::vector<Watcher>(watchers_)) {
-            if (off < w.off + w.len && w.off < off + len)
-                w.fn(off, len);
+        const std::uint64_t lo = off >= maxLen_ ? off - maxLen_ + 1 : 0;
+        auto it = std::lower_bound(
+            watchers_.begin(), watchers_.end(), lo,
+            [](const auto &w, std::uint64_t o) { return w->off < o; });
+        std::array<Watcher *, kInlineHits> inlineHits{};
+        std::vector<Watcher *> spill;
+        std::size_t n = 0;
+        for (; it != watchers_.end() && (*it)->off < off + len; ++it) {
+            Watcher *w = it->get();
+            if (w->removed || off >= w->off + w->len)
+                continue;
+            if (n < kInlineHits) {
+                inlineHits[n] = w;
+            } else {
+                if (n == kInlineHits)
+                    spill.assign(inlineHits.begin(), inlineHits.end());
+                spill.push_back(w);
+            }
+            ++n;
         }
+        if (n == 0)
+            return;
+        std::span<Watcher *> hits = n <= kInlineHits
+                                        ? std::span(inlineHits.data(), n)
+                                        : std::span(spill);
+        std::sort(hits.begin(), hits.end(),
+                  [](const Watcher *a, const Watcher *b) {
+                      return a->id < b->id;
+                  });
+
+        // Watchers are heap-allocated and erased only once the
+        // outermost notify returns, so every hit stays valid even if
+        // a callback watches, unwatches or writes (nesting notify).
+        ++notifyDepth_;
+        for (Watcher *w : hits) {
+            if (!w->removed)
+                w->fn(off, len);
+        }
+        if (--notifyDepth_ == 0 && erasePending_)
+            eraseRemoved();
+    }
+
+    /** Erase unwatched entries and re-derive the longest watched span. */
+    void
+    eraseRemoved()
+    {
+        std::erase_if(watchers_, [](const auto &w) { return w->removed; });
+        erasePending_ = false;
+        maxLen_ = 0;
+        for (const auto &w : watchers_)
+            maxLen_ = std::max(maxLen_, w->len);
     }
 
     std::string name_;
     std::vector<std::uint8_t> bytes_;
-    std::vector<Watcher> watchers_;
+    /** Sorted by (off, id); ids grow, so inserts keep the tie order. */
+    std::vector<std::unique_ptr<Watcher>> watchers_;
+    /** Longest watched length among the entries in watchers_. */
+    std::uint64_t maxLen_ = 0;
+    /** Nesting depth of notify(); erasure waits until it is zero. */
+    unsigned notifyDepth_ = 0;
+    /** An unwatch() inside notify() left an entry to erase. */
+    bool erasePending_ = false;
     std::uint64_t nextWatchId_ = 0;
 };
 

@@ -6,11 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "pcie/fabric.hh"
 #include "pcie/memory.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
 
@@ -119,6 +127,171 @@ TEST(DeviceMemory, WatcherMayRegisterAnotherWatcher)
     EXPECT_EQ(hits, 1);
     mem.writeU32(4, 1);
     EXPECT_GE(hits, 2);
+}
+
+TEST(DeviceMemory, UnwatchDuringNotifySuppressesLaterWatcher)
+{
+    pcie::DeviceMemory mem("gpu0", 64);
+    // The second watcher's owner is torn down by the first callback of
+    // the same write; its callback must not run afterwards.
+    auto owner = std::make_unique<int>(0);
+    int firstHits = 0;
+    std::uint64_t second = 0;
+    mem.watch(0, 8, [&](auto, auto) {
+        ++firstHits;
+        if (owner) {
+            mem.unwatch(second);
+            owner.reset();
+        }
+    });
+    second = mem.watch(0, 8, [&](auto, auto) { ++*owner; });
+    int thirdHits = 0;
+    mem.watch(4, 4, [&](auto, auto) { ++thirdHits; });
+
+    mem.writeU32(4, 1);
+    EXPECT_EQ(firstHits, 1);
+    EXPECT_EQ(owner, nullptr);
+    EXPECT_EQ(thirdHits, 1); // later watchers of the write still fire
+    mem.writeU32(4, 2);
+    EXPECT_EQ(firstHits, 2);
+    EXPECT_EQ(thirdHits, 2);
+}
+
+TEST(DeviceMemory, OverlappingWatchersFireInWatchOrder)
+{
+    pcie::DeviceMemory mem("gpu0", 128);
+    std::vector<int> order;
+    auto record = [&](int tag) {
+        return [&order, tag](auto, auto) { order.push_back(tag); };
+    };
+    // Registered out of offset order; all but the last overlap [40,52).
+    mem.watch(48, 16, record(0));
+    mem.watch(0, 64, record(1));
+    mem.watch(32, 16, record(2));
+    mem.watch(16, 40, record(3));
+    mem.watch(60, 4, record(4));
+
+    mem.write(40, std::vector<std::uint8_t>(12));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(DeviceMemory, WatchpointsMatchLinearReference)
+{
+    // Random watch/unwatch/write sequences against a brute-force
+    // reference: every live watcher is checked on every write, in
+    // watch order. Some watchers unwatch another watcher, or watch the
+    // written range, from inside their callback.
+    using Fire = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+    constexpr std::uint64_t kSize = 4096;
+
+    struct Spec
+    {
+        std::uint64_t id = 0;
+        std::uint64_t off = 0;
+        std::uint64_t len = 0;
+        std::optional<std::uint64_t> victim;
+        bool spawn = false;
+    };
+
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        sim::Rng rng(seed);
+        pcie::DeviceMemory mem("gpu0", kSize);
+        std::vector<Fire> fired;
+        std::deque<Spec> specs;           // stable addresses for callbacks
+        std::vector<Spec> ref;            // reference: live, in id order
+        std::deque<std::uint64_t> spawned; // ids the callbacks created
+
+        std::function<std::uint64_t(Spec)> add = [&](Spec spec) {
+            Spec &s = specs.emplace_back(spec);
+            s.id = mem.watch(s.off, s.len, [&, sp = &s](auto off, auto len) {
+                fired.emplace_back(sp->id, off, len);
+                if (sp->victim)
+                    mem.unwatch(*sp->victim);
+                if (sp->spawn) {
+                    sp->spawn = false;
+                    spawned.push_back(add(Spec{0, off, len, {}, false}));
+                }
+            });
+            return s.id;
+        };
+        auto refRemove = [&](std::uint64_t id) {
+            std::erase_if(ref, [id](const Spec &w) { return w.id == id; });
+        };
+        auto refWrite = [&](std::uint64_t off, std::uint64_t len) {
+            std::vector<Fire> out;
+            std::vector<Spec> hits;
+            for (const Spec &w : ref) {
+                if (off < w.off + w.len && w.off < off + len)
+                    hits.push_back(w);
+            }
+            for (const Spec &w : hits) {
+                auto live = std::find_if(
+                    ref.begin(), ref.end(),
+                    [&](const Spec &r) { return r.id == w.id; });
+                if (live == ref.end())
+                    continue;
+                out.emplace_back(w.id, off, len);
+                bool spawn = std::exchange(live->spawn, false);
+                if (w.victim)
+                    refRemove(*w.victim);
+                if (spawn) {
+                    ref.push_back(Spec{spawned.front(), off, len, {}, false});
+                    spawned.pop_front();
+                }
+            }
+            return out;
+        };
+
+        constexpr int kSteps = 800;
+        const int wholeRegionStep = static_cast<int>(rng.below(kSteps));
+        for (int step = 0; step < kSteps; ++step) {
+            std::uint64_t pick = rng.below(100);
+            if (step == wholeRegionStep || pick < 30) {
+                Spec s;
+                std::uint64_t kind = rng.below(10);
+                // Few distinct lengths, so several watchers share the
+                // longest one that bounds the index's search window.
+                s.len = step == wholeRegionStep ? kSize
+                        : kind == 0             ? 0
+                        : kind < 5              ? 64
+                                                : rng.between(1, 64);
+                s.off = rng.below(kSize - s.len + 1);
+                if (!ref.empty() && rng.chance(0.2))
+                    s.victim = ref[rng.below(ref.size())].id;
+                s.spawn = rng.chance(0.1);
+                s.id = add(s);
+                ref.push_back(s);
+            } else if (pick < 45) {
+                if (ref.empty())
+                    continue;
+                std::uint64_t id = ref[rng.below(ref.size())].id;
+                mem.unwatch(id);
+                refRemove(id);
+            } else {
+                std::uint64_t len =
+                    rng.below(10) == 0 ? 0 : rng.between(1, 128);
+                std::uint64_t off = rng.below(kSize - len + 1);
+                if (!ref.empty() && rng.chance(0.5)) {
+                    // Probe a watcher's edges: one byte inside or
+                    // just outside either end.
+                    const Spec &w = ref[rng.below(ref.size())];
+                    std::uint64_t end = w.off + w.len;
+                    std::uint64_t edges[] = {
+                        end > 0 ? end - 1 : 0, end,
+                        w.off > len ? w.off - len : 0,
+                        w.off + 1 > len ? w.off + 1 - len : 0};
+                    off = std::min(edges[rng.below(4)], kSize - len);
+                }
+                fired.clear();
+                mem.write(off, std::vector<std::uint8_t>(len));
+                ASSERT_EQ(fired, refWrite(off, len))
+                    << "step " << step << " write [" << off << ", "
+                    << off + len << ")";
+                ASSERT_TRUE(spawned.empty());
+            }
+        }
+    }
 }
 
 TEST(Fabric, DmaTimeIncludesLatencyAndSerialization)
