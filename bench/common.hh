@@ -230,10 +230,11 @@ class BenchJson
 /** Deployment knobs of an EchoWorld beyond platform/queues. */
 struct EchoOptions
 {
-    /** mqueue write behaviour (coalescing / barrier / RX batching). */
+    /** mqueue write behaviour (coalescing / barrier). */
     core::SnicMqueueConfig mq;
 
-    /** Dispatcher-side staging batch (1 = per-message pushes). */
+    /** Dispatcher-side staging batch; also bounds each coalesced RX
+     *  write (1 = one-slot writes). */
     int dispatchMaxBatch = 1;
 
     /** Partial-batch flush linger (see RuntimeConfig). */

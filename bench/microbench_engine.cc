@@ -8,11 +8,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <queue>
 #include <thread>
+#include <vector>
 
 #include "common.hh"
 
@@ -489,65 +491,98 @@ class LegacyHopServer
 
 template <typename Server>
 double
-bestOf(int reps, std::uint64_t budget)
+runOnce(std::uint64_t budget)
 {
-    double best = 0.0;
-    for (int i = 0; i < reps; ++i) {
-        Server srv(budget);
-        best = std::max(best, srv.run());
-    }
-    return best;
+    Server srv(budget);
+    return srv.run();
+}
+
+/** min / median / max of @p v (sorted in place). */
+struct Spread
+{
+    double min, median, max;
+};
+
+Spread
+spreadOf(std::vector<double> &v)
+{
+    std::sort(v.begin(), v.end());
+    std::size_t n = v.size();
+    double median = n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+    return {v.front(), median, v.back()};
 }
 
 /** Minimum accepted wheel/legacy speedup: the self-check fails the
  *  bench (and the ctest smoke) when a regression eats the engine
- *  overhaul's headline gain. */
+ *  overhaul's headline gain. Gated on the median of the interleaved
+ *  pairs' ratios, so one disturbed run cannot flip it. */
 constexpr double kMinSpeedup = 5.0;
 
 int
 runHeadline(bool fast, lynxbench::BenchJson &json)
 {
     const std::uint64_t budget = fast ? 300'000 : 3'000'000;
-    const int reps = fast ? 2 : 3;
+    const int pairs = fast ? 7 : 9;
 
     // Warm the payload/slab pools once so the measured runs see the
     // steady state (a long simulation's, not a cold process's).
-    {
-        WheelHopServer warm(budget / 10);
-        warm.run();
-    }
+    (void)runOnce<WheelHopServer>(budget / 10);
 
-    double wheel = bestOf<WheelHopServer>(reps, budget);
-    double legacy = bestOf<LegacyHopServer>(reps, budget);
-    double ratio = wheel / legacy;
+    // Interleave the engines so host drift hits both sides of each
+    // pair alike, and judge the per-pair ratio.
+    std::vector<double> wheels, legacies, ratios;
+    for (int i = 0; i < pairs; ++i) {
+        double wheel = runOnce<WheelHopServer>(budget);
+        double legacy = runOnce<LegacyHopServer>(budget);
+        wheels.push_back(wheel);
+        legacies.push_back(legacy);
+        ratios.push_back(wheel / legacy);
+    }
+    Spread wheel = spreadOf(wheels);
+    Spread legacy = spreadOf(legacies);
+    Spread ratio = spreadOf(ratios);
 
     std::printf("engine headline: steady-state message hops "
-                "(depth %zu, %llu events)\n",
-                kHopDepth, static_cast<unsigned long long>(budget));
-    std::printf("  %-22s %12.0f events/s\n", "timing wheel", wheel);
-    std::printf("  %-22s %12.0f events/s\n", "legacy heap+function",
-                legacy);
-    std::printf("  %-22s %12.2fx\n", "speedup", ratio);
+                "(depth %zu, %llu events, %d interleaved pairs, "
+                "median [min, max])\n",
+                kHopDepth, static_cast<unsigned long long>(budget), pairs);
+    std::printf("  %-22s %12.0f events/s [%.0f, %.0f]\n", "timing wheel",
+                wheel.median, wheel.min, wheel.max);
+    std::printf("  %-22s %12.0f events/s [%.0f, %.0f]\n",
+                "legacy heap+function", legacy.median, legacy.min,
+                legacy.max);
+    std::printf("  %-22s %12.2fx [%.2f, %.2f]\n", "speedup", ratio.median,
+                ratio.min, ratio.max);
 
+    const auto k = static_cast<std::uint64_t>(pairs);
     json.addRow({{"metric", "events_per_sec"},
                  {"engine", "timing_wheel"},
-                 {"value", wheel},
+                 {"value", wheel.median},
+                 {"min", wheel.min},
+                 {"max", wheel.max},
+                 {"pairs", k},
                  {"depth", static_cast<std::uint64_t>(kHopDepth)},
                  {"events", budget}});
     json.addRow({{"metric", "events_per_sec"},
                  {"engine", "legacy_heap_function"},
-                 {"value", legacy},
+                 {"value", legacy.median},
+                 {"min", legacy.min},
+                 {"max", legacy.max},
+                 {"pairs", k},
                  {"depth", static_cast<std::uint64_t>(kHopDepth)},
                  {"events", budget}});
     json.addRow({{"metric", "speedup"},
-                 {"value", ratio},
+                 {"value", ratio.median},
+                 {"min", ratio.min},
+                 {"max", ratio.max},
+                 {"pairs", k},
                  {"min_accepted", kMinSpeedup}});
 
-    if (ratio < kMinSpeedup) {
+    if (ratio.median < kMinSpeedup) {
         std::fprintf(stderr,
-                     "FAIL: wheel/legacy speedup %.2fx below the "
+                     "FAIL: median wheel/legacy speedup %.2fx below the "
                      "%.1fx floor\n",
-                     ratio, kMinSpeedup);
+                     ratio.median, kMinSpeedup);
         return 1;
     }
     return 0;

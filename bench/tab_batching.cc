@@ -59,7 +59,6 @@ measure(bool batched, std::size_t payload, bool fast)
     EchoOptions opts;
     opts.payloadBytes = payload;
     if (batched) {
-        opts.mq.maxBatch = calibration::snicRxMaxBatch;
         opts.dispatchMaxBatch = calibration::snicRxMaxBatch;
         opts.forwardMaxBatch = calibration::snicTxMaxBatch;
         opts.adaptivePoll = true;

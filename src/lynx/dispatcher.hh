@@ -5,13 +5,14 @@
  * the dispatching policy, e.g. load balancing for stateless services,
  * or steering messages to specific queues for stateful ones" (§4.2).
  *
- * With `maxBatch > 1` the dispatcher stages messages per target
- * mqueue and hands them to SnicMqueue::rxPushBatch() in groups, so
- * back-to-back arrivals for the same queue share one coalesced RDMA
- * write and one doorbell. A staged batch is flushed either when it
- * reaches `maxBatch` or when the caller observes the ingress going
- * idle (Runtime::listenLoop flushes when the endpoint backlog drains),
- * so batching never adds latency to an isolated message.
+ * The dispatcher stages messages per target mqueue and hands them to
+ * SnicMqueue::rxPushBatch() in groups, so back-to-back arrivals for
+ * the same queue share one coalesced RDMA write and one doorbell. A
+ * staged batch is flushed either when it reaches `maxBatch` or when
+ * the caller observes the ingress going idle (Runtime::listenLoop
+ * flushes when the endpoint backlog drains), so batching never adds
+ * latency to an isolated message. `maxBatch` 1 is the same code: every
+ * message is a batch of one, flushed at once.
  */
 
 #ifndef LYNX_LYNX_DISPATCHER_HH
@@ -74,7 +75,7 @@ struct DispatcherConfig
     sim::Tick dispatchCpu = 0;
 
     /** Messages staged per mqueue before a batched RX push; 1 =
-     *  immediate per-message rxPush, exactly the unbatched path. */
+     *  every message is flushed at once as a batch of one. */
     int maxBatch = 1;
 
     /** Keep a copy of each request payload in its ClientRef while
@@ -120,7 +121,9 @@ class Dispatcher
           cSteerFallbacks_(&steerStats_.counter("rss_fallbacks")),
           cAdmitted_(&admissionStats_.counter("admitted")),
           cShed_(&admissionStats_.counter("shed_ring_full"))
-    {}
+    {
+        LYNX_ASSERT(cfg_.maxBatch >= 1, name_, ": maxBatch must be >= 1");
+    }
 
     Dispatcher(std::string name, DispatchPolicy policy,
                sim::Tick dispatchCpu)
@@ -140,9 +143,7 @@ class Dispatcher
         queues_.push_back(mq);
         dead_.push_back(0);
         staged_.emplace_back();
-        staged_.back().reserve(
-            cfg_.maxBatch > 1 ? static_cast<std::size_t>(cfg_.maxBatch)
-                              : 0);
+        staged_.back().reserve(static_cast<std::size_t>(cfg_.maxBatch));
     }
 
     /** @return registered queue count. */
@@ -170,8 +171,9 @@ class Dispatcher
      * Dispatch @p msg: pick an mqueue, allocate a response tag for
      * the client, push into the RX ring. Charges CPU on @p core.
      * Full rings / tag tables drop the message (UDP semantics).
-     * With batching on, the message may instead be staged; callers
-     * must eventually flush() (see hasStaged()).
+     * The message is staged and flushed once `maxBatch` are staged;
+     * callers must eventually flush() a partial batch (see
+     * hasStaged()).
      */
     sim::Co<void>
     dispatch(sim::Core &core, net::Message msg)
@@ -199,7 +201,8 @@ class Dispatcher
             }
             cAdmitted_->add();
         }
-        std::size_t qi = pickIndex(msg);
+        rssDst_ = msg.dst; // the flow tuple Rss hashes (see pick())
+        std::size_t qi = pick(msg.src);
         if (qi == kNoQueue) {
             // Every mqueue is dead or transport-failed: the sentinel
             // drop keeps "no silent loss" — the request is reported,
@@ -214,39 +217,9 @@ class Dispatcher
             cDroppedOversized_->add();
             co_return;
         }
-        ClientRef client;
-        client.addr = msg.src;
-        client.proto = msg.proto;
-        client.seq = msg.seq;
-        client.sentAt = msg.sentAt;
-        client.traceId = msg.traceId;
-        // Metadata copy only — without a TenantTable nobody ever
-        // reads it, so the seed path stays bit-identical.
-        client.tenant = msg.tenant;
-        if (cfg_.retainPayloads)
-            client.payload = msg.payload.toVector();
-        auto tag = mq.allocTag(client);
+        auto tag = mq.allocTag(clientOf(msg));
         if (!tag) {
             cDroppedNoTag_->add();
-            co_return;
-        }
-        if (cfg_.maxBatch <= 1) {
-            bool ok = co_await mq.rxPush(core, msg.payload, *tag);
-            if (!ok) {
-                auto c = mq.tryReleaseTag(*tag);
-                if (mq.transportDead() && c) {
-                    // The push died on the wire, not on a full ring:
-                    // try a surviving queue right away.
-                    if (co_await redispatch(core, std::move(msg.payload),
-                                            std::move(*c)))
-                        co_return;
-                    cDroppedTransport_->add();
-                    co_return;
-                }
-                cDroppedRingFull_->add();
-                co_return;
-            }
-            cDispatched_->add();
             co_return;
         }
         staged_[qi].push_back({std::move(msg.payload), *tag});
@@ -351,7 +324,7 @@ class Dispatcher
     redispatch(sim::Core &core, net::Payload payload, ClientRef client)
     {
         for (std::size_t tries = queues_.size(); tries > 0; --tries) {
-            std::size_t qi = pickLive(client);
+            std::size_t qi = pick(client.addr);
             if (qi == kNoQueue)
                 break;
             SnicMqueue &mq = *queues_[qi];
@@ -443,7 +416,7 @@ class Dispatcher
             Pending p = std::move(classes_[t].front());
             classes_[t].pop_front();
             --tenantPendingTotal_;
-            std::size_t qi = pickLive(p.client);
+            std::size_t qi = pick(p.client.addr);
             if (qi == kNoQueue) {
                 cDroppedNoLive_->add();
                 cfg_.tenants->abandoned(p.client.tenant);
@@ -462,27 +435,22 @@ class Dispatcher
                 wrr_.unpick();
                 co_return;
             }
-            bool ok = co_await mq.rxPush(core, p.payload, *tag);
-            if (!ok) {
-                auto c = mq.tryReleaseTag(*tag);
-                if (mq.transportDead() && c) {
-                    // redispatch() itself abandons the tenant's
-                    // in-flight slot on final failure.
-                    if (co_await redispatch(core, std::move(p.payload),
-                                            std::move(*c)))
-                        continue;
-                    cDroppedTransport_->add();
-                    continue;
-                }
-                // Ring genuinely full: park; consumption + tag
-                // release will reopen capacity. Unserved turn —
-                // refund it (see the allocTag park above).
-                classes_[t].push_front(std::move(p));
-                ++tenantPendingTotal_;
-                wrr_.unpick();
-                co_return;
+            if (co_await mq.rxPush(core, p.payload, *tag)) {
+                cDispatched_->add();
+                continue;
             }
-            cDispatched_->add();
+            // redispatch() itself abandons the tenant's in-flight
+            // slot on final failure.
+            if (co_await rejected(core, mq, mq.transportDead(), *tag,
+                                  p.payload))
+                continue;
+            // Ring genuinely full: park; consumption + tag release
+            // will reopen capacity. Unserved turn — refund it (see
+            // the allocTag park above).
+            classes_[t].push_front(std::move(p));
+            ++tenantPendingTotal_;
+            wrr_.unpick();
+            co_return;
         }
     }
     /** @} */
@@ -492,6 +460,14 @@ class Dispatcher
     {
         net::Payload payload;
         std::uint32_t tag;
+    };
+
+    /** What one in-progress flush owns: the staged messages it took
+     *  over and the views rxPushBatch() reads. */
+    struct FlushBuf
+    {
+        std::vector<Staged> staged;
+        std::vector<SnicMqueue::RxItem> items;
     };
 
     /** One admitted-but-not-yet-placed tenant request. */
@@ -518,17 +494,9 @@ class Dispatcher
         }
         if (classes_.size() < cfg_.tenants->idSpan())
             classes_.resize(cfg_.tenants->idSpan());
-        Pending p;
+        Pending p{{}, clientOf(msg)};
         p.payload = std::move(msg.payload);
-        p.client.addr = msg.src;
-        p.client.proto = msg.proto;
-        p.client.seq = msg.seq;
-        p.client.sentAt = msg.sentAt;
-        p.client.traceId = msg.traceId;
-        p.client.tenant = t;
         p.client.tenantGen = cfg_.tenants->generation(t);
-        if (cfg_.retainPayloads)
-            p.client.payload = p.payload.toVector();
         classes_[t].push_back(std::move(p));
         ++tenantPendingTotal_;
         co_await pumpTenants(core);
@@ -536,35 +504,72 @@ class Dispatcher
             backlogHook_();
     }
 
+    /** The client identity (and, with retention, the payload copy)
+     *  an in-flight request of @p msg carries. */
+    ClientRef
+    clientOf(const net::Message &msg) const
+    {
+        ClientRef c;
+        c.addr = msg.src;
+        c.proto = msg.proto;
+        c.seq = msg.seq;
+        c.sentAt = msg.sentAt;
+        c.traceId = msg.traceId;
+        c.tenant = msg.tenant;
+        if (cfg_.retainPayloads)
+            c.payload = msg.payload.toVector();
+        return c;
+    }
+
+    /**
+     * A push of @p tag to @p mq was rejected: release the tag and, if
+     * the push died on the wire (@p transportDead) rather than on a
+     * full ring, route the request to a surviving queue right away.
+     * @return whether the request was consumed (re-routed, or counted
+     * as a transport drop); false = the ring was full, and the caller
+     * drops or parks @p payload.
+     */
+    sim::Co<bool>
+    rejected(sim::Core &core, SnicMqueue &mq, bool transportDead,
+             std::uint32_t tag, net::Payload &payload)
+    {
+        auto c = mq.tryReleaseTag(tag);
+        if (!transportDead || !c)
+            co_return false;
+        if (!co_await redispatch(core, std::move(payload), std::move(*c)))
+            cDroppedTransport_->add();
+        co_return true;
+    }
+
     sim::Co<void>
     flushQueue(sim::Core &core, std::size_t qi)
     {
-        // Move the batch out before any suspension so a concurrent
-        // dispatch() can stage into a fresh vector.
-        std::vector<Staged> batch = std::move(staged_[qi]);
-        staged_[qi].clear();
-        stagedCount_ -= batch.size();
+        // Take the batch over before any suspension so a concurrent
+        // dispatch() stages into a fresh vector — a spare one, which
+        // keeps its capacity, so a stream of one-message batches does
+        // not reallocate per message.
+        FlushBuf buf;
+        if (!spare_.empty()) {
+            buf = std::move(spare_.back());
+            spare_.pop_back();
+        }
+        buf.staged.swap(staged_[qi]);
+        stagedCount_ -= buf.staged.size();
         SnicMqueue &mq = *queues_[qi];
-        std::vector<SnicMqueue::RxItem> items;
-        items.reserve(batch.size());
-        for (const Staged &s : batch)
-            items.push_back({s.payload, s.tag, 0});
-        std::size_t accepted = co_await mq.rxPushBatch(core, items);
+        for (const Staged &s : buf.staged)
+            buf.items.push_back({s.payload, s.tag, 0});
+        std::size_t accepted = co_await mq.rxPushBatch(core, buf.items);
         bool transport = mq.transportDead();
-        for (std::size_t j = accepted; j < batch.size(); ++j) {
-            auto c = mq.tryReleaseTag(batch[j].tag);
-            if (transport && c) {
-                if (co_await redispatch(core,
-                                        std::move(batch[j].payload),
-                                        std::move(*c)))
-                    continue;
-                cDroppedTransport_->add();
-                continue;
-            }
-            cDroppedRingFull_->add();
+        for (std::size_t j = accepted; j < buf.staged.size(); ++j) {
+            if (!co_await rejected(core, mq, transport, buf.staged[j].tag,
+                                   buf.staged[j].payload))
+                cDroppedRingFull_->add();
         }
         cDispatched_->add(accepted);
         cBatchFlushes_->add();
+        buf.staged.clear();
+        buf.items.clear();
+        spare_.push_back(std::move(buf));
     }
 
     static constexpr std::size_t kNoQueue =
@@ -577,12 +582,15 @@ class Dispatcher
         return dead_[qi] == 0 && !queues_[qi]->transportDead();
     }
 
+    /** @return the queue a request from @p src goes to under the
+     *  service's policy, skipping unusable queues; kNoQueue if none is
+     *  usable. All-alive picks are the seed policy: RoundRobin advances
+     *  rr_ exactly once, SourceHash and Rss take their home queue.
+     *  Rss hashes (@p src, rssDst_): dispatch() sets rssDst_ first,
+     *  failover re-routing reuses the last one. */
     std::size_t
-    pickIndex(const net::Message &msg)
+    pick(const net::Address &src)
     {
-        // All-alive fast paths are bit-identical to the seed policy:
-        // RoundRobin advances rr_ exactly once, SourceHash probes its
-        // home index first.
         switch (policy_) {
           case DispatchPolicy::RoundRobin:
             for (std::size_t i = 0; i < queues_.size(); ++i) {
@@ -592,8 +600,8 @@ class Dispatcher
             }
             return kNoQueue;
           case DispatchPolicy::SourceHash: {
-            std::uint64_t h = msg.src.node * 0x9e3779b97f4a7c15ull +
-                              msg.src.port * 0x85ebca6bull;
+            std::uint64_t h = src.node * 0x9e3779b97f4a7c15ull +
+                              src.port * 0x85ebca6bull;
             // Linear probe from the home queue: a client keeps its
             // queue while it is alive and lands on a stable fallback
             // while it is not.
@@ -605,40 +613,7 @@ class Dispatcher
             return kNoQueue;
           }
           case DispatchPolicy::Rss:
-            // pickLive re-routes on failover with the same hash; the
-            // cached dst makes the tuple identical so a surviving
-            // flow keeps one home across both paths.
-            rssDst_ = msg.dst;
-            return probeRss(msg.src, msg.dst);
-        }
-        return 0;
-    }
-
-    /** pickIndex for requests without an ingress message (failover
-     *  re-queueing): same policies keyed on the stored client. */
-    std::size_t
-    pickLive(const ClientRef &client)
-    {
-        switch (policy_) {
-          case DispatchPolicy::RoundRobin:
-            for (std::size_t i = 0; i < queues_.size(); ++i) {
-                std::size_t qi = rr_++ % queues_.size();
-                if (usable(qi))
-                    return qi;
-            }
-            return kNoQueue;
-          case DispatchPolicy::SourceHash: {
-            std::uint64_t h = client.addr.node * 0x9e3779b97f4a7c15ull +
-                              client.addr.port * 0x85ebca6bull;
-            for (std::size_t i = 0; i < queues_.size(); ++i) {
-                std::size_t qi = (h + i) % queues_.size();
-                if (usable(qi))
-                    return qi;
-            }
-            return kNoQueue;
-          }
-          case DispatchPolicy::Rss:
-            return probeRss(client.addr, rssDst_);
+            return probeRss(src, rssDst_);
         }
         return kNoQueue;
     }
@@ -692,6 +667,8 @@ class Dispatcher
     std::vector<char> dead_;
     /** Per-queue staged batches (parallel to queues_). */
     std::vector<std::vector<Staged>> staged_;
+    /** Buffers of finished flushes, reused by the next ones. */
+    std::vector<FlushBuf> spare_;
     std::size_t stagedCount_ = 0;
     std::size_t rr_ = 0;
 
@@ -718,9 +695,7 @@ class Dispatcher
     /** RSS steering state (policy Rss only; the table itself is
      *  cheap enough to sit here unconditionally). */
     net::steer::RssSteering rss_;
-    /** Destination of the most recent RSS dispatch, so failover
-     *  re-routing (pickLive has no ingress message) hashes the same
-     *  flow tuple the original decision did. */
+    /** Destination of the most recent dispatch (see pick()). */
     net::Address rssDst_{};
 
     sim::StatSet steerStats_;

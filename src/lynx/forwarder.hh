@@ -60,7 +60,7 @@ struct ForwarderConfig
 
     /** TX slots fetched per pipelined RDMA read
      *  (SnicMqueue::pollTxBatch); 1 = one post + fetch round per
-     *  slot, exactly the unbatched behaviour. */
+     *  slot. */
     int maxBatch = 1;
 
     /** Scale the discovery delay with observed idleness instead of
@@ -108,6 +108,7 @@ class Forwarder
           cStaleResponses_(&stats_.counter("stale_responses")),
           cTenantStale_(&stats_.counter("tenant_stale_drops"))
     {
+        LYNX_ASSERT(cfg_.maxBatch >= 1, name_, ": maxBatch must be >= 1");
         queues_.reserve(8);
         sim_.metrics().add("lynx.fwd." + name_, stats_);
     }
@@ -175,32 +176,20 @@ class Forwarder
                     continue;
                 }
                 e.pendingTx = false;
-                if (cfg_.maxBatch > 1) {
-                    // Drain in pipelined batches: one RDMA fetch per
-                    // group of ready slots, one credit commit per
-                    // drain (instead of post+fetch rounds per slot).
-                    for (;;) {
-                        auto batch = co_await e.mq->pollTxBatch(
-                            core_,
-                            static_cast<std::size_t>(cfg_.maxBatch));
-                        if (batch.empty())
-                            break;
-                        progress = true;
-                        cBatchFetches_->add();
-                        if (cfg_.tenants && batch.size() > 1 &&
-                            e.mq->kind() == MqueueKind::Server)
-                            orderByTenantClass(*e.mq, batch);
-                        for (auto &txm : batch)
-                            co_await forwardOne(e, std::move(txm));
-                    }
-                } else {
-                    for (;;) {
-                        auto txm = co_await e.mq->pollTx(core_);
-                        if (!txm)
-                            break;
-                        progress = true;
-                        co_await forwardOne(e, std::move(*txm));
-                    }
+                // Drain in pipelined batches: one RDMA fetch per group
+                // of ready slots, one credit commit per drain.
+                for (;;) {
+                    auto batch = co_await e.mq->pollTxBatch(
+                        core_, static_cast<std::size_t>(cfg_.maxBatch));
+                    if (batch.empty())
+                        break;
+                    progress = true;
+                    cBatchFetches_->add();
+                    if (cfg_.tenants && batch.size() > 1 &&
+                        e.mq->kind() == MqueueKind::Server)
+                        orderByTenantClass(*e.mq, batch);
+                    for (auto &txm : batch)
+                        co_await forwardOne(e, std::move(txm));
                 }
                 if (e.mq->txCommitPending())
                     co_await e.mq->commitTxCons(core_);

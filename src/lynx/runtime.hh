@@ -214,9 +214,10 @@ struct RuntimeConfig
     sim::Tick dispatchCpu = sim::nanoseconds(500);
 
     /** Messages the dispatcher stages per mqueue for one coalesced
-     *  RX write (1 = per-message pushes, the unbatched behaviour).
-     *  Staged batches flush when full or when the ingress endpoint's
-     *  backlog drains (after the linger below). */
+     *  RX write; it also bounds the write's segment (1 = every
+     *  message is its own one-slot write). Staged batches flush when
+     *  full or when the ingress endpoint's backlog drains (after the
+     *  linger below). */
     int dispatchMaxBatch = 1;
 
     /** How long a listener lingers before flushing a partial batch

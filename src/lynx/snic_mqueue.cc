@@ -47,6 +47,7 @@ SnicMqueue::SnicMqueue(sim::Simulator &sim, std::string name,
     cPfcResumes_ = &stats_.counter("pfc_resumes");
     cPfcStormBreaks_ = &stats_.counter("pfc_storm_breaks");
     hPauseTicks_ = &stats_.histogram("pfc_pause_ticks");
+    hTxBatchSize_ = &stats_.histogram("tx_batch_size");
 
     sim_.metrics().add("lynx.mq." + name_, stats_);
 }
@@ -202,11 +203,8 @@ SnicMqueue::pfcResume()
 }
 
 sim::Co<bool>
-SnicMqueue::rxPush(sim::Core &core, std::span<const std::uint8_t> payload,
-                   std::uint32_t tag, std::uint32_t err)
+SnicMqueue::awaitRxSlot(sim::Core &core)
 {
-    LYNX_ASSERT(payload.size() <= layout_.maxPayload(), name_,
-                ": payload exceeds slot capacity");
     for (;;) {
         // Credit prefetch: once the ring looks half full, refresh the
         // consumer cache in the background so steady-state pushes
@@ -216,21 +214,36 @@ SnicMqueue::rxPush(sim::Core &core, std::span<const std::uint8_t> payload,
             sim::spawn(sim_, asyncRefresh(core));
         }
         if (rxProduced_ - rxConsCache_ < layout_.slots)
-            break;
+            co_return true;
         co_await refreshRxCons(core);
         if (rxProduced_ - rxConsCache_ < layout_.slots)
-            break;
+            co_return true;
         // Genuinely full. Without PFC this is an overflow: the push
-        // fails (UDP semantics — the caller drops), now *counted*
-        // instead of vanishing into a generic failure. With PFC the
-        // pusher pauses until the accelerator drains, then loops back
-        // to re-validate (a concurrently resumed pusher may have
-        // claimed the freed slots first).
-        if (!cfg_.pfc.enabled || !co_await pfcWaitForSpace(core)) {
+        // fails (UDP semantics — the caller drops), counted instead
+        // of vanishing into a generic failure. With PFC the pusher
+        // pauses until the accelerator drains, then loops back to
+        // re-validate (a concurrently resumed pusher may have claimed
+        // the freed slots first). The co_await stays out of a ||
+        // operand: GCC 12 lays out such a frame wrongly.
+        bool drained = false;
+        if (cfg_.pfc.enabled)
+            drained = co_await pfcWaitForSpace(core);
+        if (!drained) {
             cRxFull_->add();
-            cOverflow_->add();
             co_return false;
         }
+    }
+}
+
+sim::Co<bool>
+SnicMqueue::rxPush(sim::Core &core, std::span<const std::uint8_t> payload,
+                   std::uint32_t tag, std::uint32_t err)
+{
+    LYNX_ASSERT(payload.size() <= layout_.maxPayload(), name_,
+                ": payload exceeds slot capacity");
+    if (!co_await awaitRxSlot(core)) {
+        cOverflow_->add();
+        co_return false;
     }
 
     // Claim the slot *before* any suspension point: several listener
@@ -350,9 +363,8 @@ SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
     // Modes that cannot coalesce across slots (the §5.1 barrier
     // sequence is strictly per-message; split-write mode has no
     // single contiguous image to emit) degrade to sequential pushes
-    // with identical per-message timing — as does maxBatch = 1.
-    if (cfg_.maxBatch <= 1 || cfg_.writeBarrier ||
-        !cfg_.coalesceMetadata) {
+    // with identical per-message timing.
+    if (cfg_.writeBarrier || !cfg_.coalesceMetadata) {
         std::size_t n = 0;
         for (const RxItem &it : items) {
             bool ok = co_await rxPush(core, it.payload, it.tag, it.err);
@@ -369,34 +381,16 @@ SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
     }
 
     std::size_t accepted = 0;
-    std::vector<SlotRecord> recs;
-    recs.reserve(std::min<std::size_t>(
-        items.size(), static_cast<std::size_t>(cfg_.maxBatch)));
     while (accepted < items.size()) {
-        // Same credit prefetch / lazy refresh discipline as rxPush,
-        // applied once per segment instead of once per message.
-        if (!refreshInFlight_ &&
-            rxProduced_ - rxConsCache_ >= layout_.slots / 2) {
-            sim::spawn(sim_, asyncRefresh(core));
-        }
-        if (rxProduced_ - rxConsCache_ >= layout_.slots) {
-            co_await refreshRxCons(core);
-            if (rxProduced_ - rxConsCache_ >= layout_.slots) {
-                if (cfg_.pfc.enabled &&
-                    co_await pfcWaitForSpace(core)) {
-                    continue; // drained: re-validate from the top
-                }
-                cRxFull_->add();
-                cOverflow_->add(items.size() - accepted);
-                break;
-            }
+        // The credit gate runs once per segment, not once per message.
+        if (!co_await awaitRxSlot(core)) {
+            cOverflow_->add(items.size() - accepted);
+            break;
         }
         std::uint64_t avail =
             layout_.slots - (rxProduced_ - rxConsCache_);
         std::size_t k = items.size() - accepted;
         k = std::min<std::size_t>(k, avail);
-        k = std::min<std::size_t>(
-            k, static_cast<std::size_t>(cfg_.maxBatch));
         // One segment must stay contiguous in the ring: stop at the
         // wrap boundary and emit the remainder as the next segment.
         k = std::min<std::size_t>(
@@ -407,7 +401,10 @@ SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
         std::uint64_t firstSlot = rxProduced_;
         rxProduced_ += k;
 
-        recs.clear();
+        // The scratch records are only read by the encoder below,
+        // before the write suspends, so concurrent pushers can share
+        // them.
+        recs_.clear();
         std::uint64_t segBytes = 0;
         for (std::size_t j = 0; j < k; ++j) {
             const RxItem &it = items[accepted + j];
@@ -416,12 +413,13 @@ SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
             meta.tag = it.tag;
             meta.err = it.err;
             meta.seq = static_cast<std::uint32_t>(firstSlot + j + 1);
-            recs.push_back(SlotRecord{it.payload, meta});
+            recs_.push_back(SlotRecord{it.payload, meta});
             segBytes += meta.len;
         }
-        auto [off, buf] = encodeRxBatchSegment(layout_, firstSlot, recs);
+        auto [off, buf] = encodeRxBatchSegment(layout_, firstSlot, recs_);
         // One post, one RDMA write, one trailing doorbell for the
         // whole segment.
+        cRxWriteOps_->add();
         if (!co_await pushWrite(core, off, std::move(buf))) {
             // Retry budget exhausted: the whole claimed segment is a
             // sequence gap for the repair pass; the unaccepted suffix
@@ -429,7 +427,6 @@ SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
             for (std::size_t j = 0; j < k; ++j)
                 lostSlots_.push_back(firstSlot + j);
             cSlotsLost_->add(k);
-            cRxWriteOps_->add();
             break;
         }
         LYNX_TRACE(sim_, "mqueue", name_, ": rx batch seq ",
@@ -441,7 +438,6 @@ SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
                                 items[accepted + j].tag,
                                 sim::Stage::MqueueWrite, sim_.now());
         }
-        cRxWriteOps_->add();
         cRxCoalesced_->add(k - 1);
         cRxPushed_->add(k);
         cRxBytes_->add(segBytes);
@@ -450,80 +446,43 @@ SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
     co_return accepted;
 }
 
-sim::Co<std::optional<TxMessage>>
-SnicMqueue::pollTx(sim::Core &core)
+sim::Co<std::vector<TxMessage>>
+SnicMqueue::pollTxBatch(sim::Core &core, std::size_t maxN)
 {
     // The forwarder issues a stream of pipelined RDMA reads over the
     // TX doorbells and slots; modelling each read as a full blocking
     // round trip would serialize what the NIC overlaps. We therefore
-    // check the doorbell against current memory (exact, because a
-    // slot is never rewritten before its credit returns) and charge
-    // the post cost plus the one-way fetch latency of the slot for a
-    // hit. Misses are free: the forwarder only polls queues whose
-    // doorbell watchpoint fired, and pays the round-robin scan cost
-    // separately.
-    cTxPolls_->add();
-    std::uint64_t slotEnd = layout_.txSlotEnd(txConsumed_);
-    SlotMeta meta = readSlotMeta(qp_.target(), slotEnd);
-    if (meta.seq != static_cast<std::uint32_t>(txConsumed_ + 1))
-        co_return std::nullopt;
-
-    if (!co_await txFetch(core, meta.len + SlotMeta::bytes))
-        co_return std::nullopt;
-
-    TxMessage msg;
-    msg.payload = readSlotPayload(qp_.target(), slotEnd, meta);
-    msg.tag = meta.tag;
-    msg.err = meta.err;
-    ++txConsumed_;
-    LYNX_TRACE(sim_, "mqueue", name_, ": tx pop seq ", meta.seq,
-               " len ", meta.len, " tag ", meta.tag);
-    cTxFetchOps_->add();
-    cTxPopped_->add();
-    cTxBytes_->add(meta.len);
-    co_return msg;
-}
-
-sim::Co<std::vector<TxMessage>>
-SnicMqueue::pollTxBatch(sim::Core &core, std::size_t maxN)
-{
-    // Doorbell scan against current memory — exact for the same
-    // reason pollTx's check is (a slot is never rewritten before its
-    // credit returns), so every slot ready now is still intact when
-    // the pipelined fetch lands.
+    // check the doorbells against current memory (exact, because a
+    // slot is never rewritten before its credit returns, so every
+    // slot ready now is still intact when the fetch lands) and charge
+    // a hit one post cost, the fixed fetch latency once, and the
+    // serialization of every ready slot. Misses are free: the
+    // forwarder only polls queues whose doorbell watchpoint fired,
+    // and pays the round-robin scan cost separately.
     cTxPolls_->add();
     std::size_t k = 0;
     std::uint64_t fetchBytes = 0;
-    std::vector<SlotMeta> metas;
-    while (k < maxN && k < layout_.slots) {
+    for (; k < maxN && k < layout_.slots; ++k) {
         SlotMeta meta =
             readSlotMeta(qp_.target(), layout_.txSlotEnd(txConsumed_ + k));
-        if (meta.seq !=
-            static_cast<std::uint32_t>(txConsumed_ + k + 1))
+        if (meta.seq != static_cast<std::uint32_t>(txConsumed_ + k + 1))
             break;
         fetchBytes += meta.len + SlotMeta::bytes;
-        metas.push_back(meta);
-        ++k;
     }
     if (k == 0)
         co_return std::vector<TxMessage>{};
-
-    // One pipelined fetch for the whole run: a single post cost, the
-    // fixed fetch latency once, and the serialization of every slot.
     if (!co_await txFetch(core, fetchBytes))
         co_return std::vector<TxMessage>{};
 
-    std::vector<TxMessage> out;
-    out.reserve(k);
+    std::vector<TxMessage> out(k);
     std::uint64_t payloadBytes = 0;
     for (std::size_t j = 0; j < k; ++j) {
-        TxMessage msg;
-        msg.payload = readSlotPayload(
-            qp_.target(), layout_.txSlotEnd(txConsumed_ + j), metas[j]);
-        msg.tag = metas[j].tag;
-        msg.err = metas[j].err;
-        payloadBytes += metas[j].len;
-        out.push_back(std::move(msg));
+        std::uint64_t slotEnd = layout_.txSlotEnd(txConsumed_ + j);
+        SlotMeta meta = readSlotMeta(qp_.target(), slotEnd);
+        out[j].payload = readSlotPayload(qp_.target(), slotEnd, meta);
+        out[j].tag = meta.tag;
+        out[j].err = meta.err;
+        payloadBytes += meta.len;
     }
     txConsumed_ += k;
     LYNX_TRACE(sim_, "mqueue", name_, ": tx batch pop seq ",
@@ -532,7 +491,7 @@ SnicMqueue::pollTxBatch(sim::Core &core, std::size_t maxN)
     cTxFetchOps_->add();
     cTxPopped_->add(k);
     cTxBytes_->add(payloadBytes);
-    stats_.histogram("tx_batch_size").record(k);
+    hTxBatchSize_->record(k);
     co_return out;
 }
 

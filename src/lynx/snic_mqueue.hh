@@ -13,8 +13,8 @@
  *  - flow control: the SNIC tracks its own producer count and a
  *    *cached* copy of the accelerator's consumer register, refreshed
  *    by an RDMA read only when the ring looks full;
- *  - TX pop: an RDMA read snapshots the next TX slot; a doorbell
- *    match yields a message. Credit is returned by writing txCons.
+ *  - TX pop: one pipelined RDMA fetch reads every TX slot whose
+ *    doorbell has rung. Credit is returned by writing txCons.
  *
  * Server mqueues own a tag table mapping in-flight requests to the
  * client they came from ("the response will be sent to the client
@@ -63,14 +63,6 @@ struct SnicMqueueConfig
      *  RDMA read barrier + doorbell write (§5.1; adds ~5 us and
      *  disables coalescing). */
     bool writeBarrier = false;
-
-    /** Maximum messages rxPushBatch() emits as ONE coalesced RDMA
-     *  write (one post cost, one trailing doorbell). 1 = per-message
-     *  writes, exactly the unbatched behaviour. Batch writes fall
-     *  back to per-slot pushes at a ring-wrap boundary (each segment
-     *  stays contiguous) and under `writeBarrier`/split-write modes
-     *  (see docs/INTERNALS.md §5). */
-    int maxBatch = 1;
 
     /** Surface RDMA completion errors on ring accesses and retry
      *  them with exponential backoff. Off (maxRetries = 0, the
@@ -170,23 +162,17 @@ class SnicMqueue
     };
 
     /**
-     * Push @p items into the RX ring, coalescing up to
-     * `cfg.maxBatch` contiguous slots per RDMA write: one post cost
-     * and one trailing doorbell cover the whole segment. Segments
-     * split at ring-wrap boundaries; with `maxBatch` 1, write-barrier
-     * or split-write modes this degrades to sequential rxPush()
-     * calls with identical timing.
+     * Push @p items into the RX ring, coalescing contiguous slots into
+     * one RDMA write: one post cost and one trailing doorbell cover
+     * the whole segment. A segment is bounded by @p items, the free
+     * slots and the ring wrap; a one-item call writes the same bytes
+     * at the same time as rxPush(). Write-barrier and split-write
+     * modes degrade to sequential rxPush() calls.
      * @return how many messages were accepted (a prefix of @p items;
      * fewer than items.size() means the ring filled up).
      */
     sim::Co<std::size_t> rxPushBatch(sim::Core &core,
                                      std::span<const RxItem> items);
-
-    /**
-     * Try to pop the next TX-ring message: one RDMA slot read.
-     * @return the message if its doorbell had been rung.
-     */
-    sim::Co<std::optional<TxMessage>> pollTx(sim::Core &core);
 
     /**
      * Pop every ready TX-ring message (up to @p maxN) in ONE
@@ -347,6 +333,15 @@ class SnicMqueue
      *  ultimately succeeded; false sets transportDead(). */
     sim::Co<bool> txFetch(sim::Core &core, std::uint64_t bytes);
 
+    /**
+     * RX credit gate shared by rxPush() and rxPushBatch(): prefetch
+     * the consumer register once the ring looks half full, refresh it
+     * when the ring looks full, and with PFC pause until it drains.
+     * @return true once a slot is free; false on overflow (counted in
+     * `rx_full`; the caller counts the rejected messages).
+     */
+    sim::Co<bool> awaitRxSlot(sim::Core &core);
+
     /** Refresh the cached rxCons register over RDMA. */
     sim::Co<void> refreshRxCons(sim::Core &core);
 
@@ -386,6 +381,8 @@ class SnicMqueue
     std::uint64_t rxProduced_ = 0;
     std::uint64_t rxConsCache_ = 0;
     bool refreshInFlight_ = false;
+    /** rxPushBatch()'s segment records, reused across segments. */
+    std::vector<SlotRecord> recs_;
     std::uint64_t txConsumed_ = 0;
     std::uint64_t txCommitted_ = 0;
 
@@ -435,6 +432,7 @@ class SnicMqueue
     sim::Counter *cPfcResumes_;
     sim::Counter *cPfcStormBreaks_;
     sim::Histogram *hPauseTicks_;
+    sim::Histogram *hTxBatchSize_;
 };
 
 } // namespace lynx::core

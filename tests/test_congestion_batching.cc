@@ -54,7 +54,7 @@ struct VictimResult
 
 /** An 8-to-1 incast at 1.5x saturation with DCQCN on, with or
  *  without the doorbell-coalescing knobs (dispatcher staging 8 +
- *  mqueue maxBatch 8 + the default 2 us flush linger). */
+ *  the default 2 us flush linger). */
 VictimResult
 measure(bool batched)
 {
@@ -85,10 +85,8 @@ measure(bool batched)
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
     cfg.congestion = ncfg.congestion;
-    if (batched) {
+    if (batched)
         cfg.dispatchMaxBatch = 8;
-        cfg.mq.maxBatch = 8;
-    }
     core::Runtime rt(s, cfg);
     auto &accel = rt.addAccelerator("gpu0", gpu.memory(), {});
 

@@ -371,9 +371,7 @@ TEST(PfcProperties, OverflowCountedWithoutPfc)
 TEST(PfcProperties, BatchOverflowCountsRejectedRemainder)
 {
     Rig r;
-    SnicMqueueConfig cfg;
-    cfg.maxBatch = 4;
-    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, cfg);
+    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, {});
 
     std::vector<std::vector<std::uint8_t>> bufs;
     for (int i = 0; i < 13; ++i)

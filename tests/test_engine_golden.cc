@@ -141,7 +141,6 @@ runFig8bScale(const GoldenKnobs &knobs)
     if (knobs.batching) {
         cfg.dispatchMaxBatch = 8;
         cfg.dispatchFlushLinger = 2_us;
-        cfg.mq.maxBatch = 8;
     }
     if (knobs.tenancyOffExplicit || knobs.tenancyOn) {
         cfg.tenancy.enabled = knobs.tenancyOn;

@@ -45,7 +45,6 @@ using lynx::core::GioTxItem;
 using lynx::core::MqueueKind;
 using lynx::core::MqueueLayout;
 using lynx::core::SnicMqueue;
-using lynx::core::SnicMqueueConfig;
 
 namespace {
 
@@ -200,9 +199,7 @@ TEST(GpuBatching, LbpBatchBitIdenticalToScalar)
 TEST(GpuBatching, RecvBatchFidelityAcrossWrapAndFlowControl)
 {
     Rig r;
-    SnicMqueueConfig cfg;
-    cfg.maxBatch = 5;
-    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, cfg);
+    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, {});
     AccelQueue gio(r.s, "gio", r.mem, r.layout);
 
     sim::Rng rng(17);
@@ -256,9 +253,7 @@ TEST(GpuBatching, RecvBatchFidelityAcrossWrapAndFlowControl)
 TEST(GpuBatching, SendBatchFidelityAcrossWrapAndFlowControl)
 {
     Rig r;
-    SnicMqueueConfig cfg;
-    cfg.maxBatch = 8;
-    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, cfg);
+    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, {});
     AccelQueue gio(r.s, "gio", r.mem, r.layout);
 
     sim::Rng rng(29);
@@ -311,9 +306,7 @@ TEST(GpuBatching, SendBatchFidelityAcrossWrapAndFlowControl)
 TEST(GpuBatching, TryRecvBatchIsNonBlocking)
 {
     Rig r;
-    SnicMqueueConfig cfg;
-    cfg.maxBatch = 4;
-    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, cfg);
+    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, {});
     AccelQueue gio(r.s, "gio", r.mem, r.layout);
 
     std::vector<std::vector<std::uint8_t>> msgs(
@@ -367,9 +360,9 @@ TEST(GpuBatching, VectorScaleCarriesNonMultipleOf4TailUnchanged)
         while (!co_await mq.rxPush(r.core, payload, 1))
             co_await sim::sleep(2_us);
         while (reply.empty()) {
-            auto popped = co_await mq.pollTx(r.core);
-            if (popped) {
-                reply = std::move(popped->payload);
+            auto popped = co_await mq.pollTxBatch(r.core, 1);
+            if (!popped.empty()) {
+                reply = std::move(popped[0].payload);
                 co_await mq.commitTxCons(r.core);
             } else {
                 co_await sim::sleep(2_us);
@@ -563,9 +556,7 @@ TEST(GpuBatching, MalformedRequestInsideBatchAnsweredIndividually)
     pcie::Fabric fabric(s, "pcie");
     accel::Gpu gpu(s, "gpu", fabric);
     apps::LeNet model;
-    SnicMqueueConfig mcfg;
-    mcfg.maxBatch = 4;
-    SnicMqueue mq(s, "mq", r.qp, r.layout, MqueueKind::Server, mcfg);
+    SnicMqueue mq(s, "mq", r.qp, r.layout, MqueueKind::Server, {});
     AccelQueue gio(s, "gio", r.mem, r.layout);
     apps::LenetServiceConfig lcfg;
     lcfg.maxBatch = 4;

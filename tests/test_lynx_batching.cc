@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "accel/gpu.hh"
@@ -110,10 +109,7 @@ TEST(Batching, RxPushBatchFidelityAcrossWrapAndFlowControl)
 {
     for (std::uint64_t seed : {11ull, 23ull, 47ull}) {
         Rig r;
-        SnicMqueueConfig cfg;
-        cfg.maxBatch = 5; // does not divide 8: exercises wrap splits
-        SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server,
-                      cfg);
+        SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server);
         GioConfig gcfg;
         gcfg.rxBurst = true;
         AccelQueue gio(r.s, "gio", r.mem, r.layout, gcfg);
@@ -125,7 +121,8 @@ TEST(Batching, RxPushBatchFidelityAcrossWrapAndFlowControl)
 
         std::vector<std::vector<std::uint8_t>> got;
         std::vector<std::uint32_t> gotTags;
-        sim::spawn(r.s, pushAll(r, mq, msgs, seed, cfg.maxBatch));
+        // Groups of up to 5 do not divide 8: exercises wrap splits.
+        sim::spawn(r.s, pushAll(r, mq, msgs, seed, 5));
         sim::spawn(r.s, recvAll(gio, msgs.size(), got, gotTags));
         r.s.run();
 
@@ -150,7 +147,6 @@ TEST(Batching, WriteBarrierModeFallsBackToPerMessagePushes)
 {
     Rig r;
     SnicMqueueConfig cfg;
-    cfg.maxBatch = 4;
     cfg.writeBarrier = true;
     SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, cfg);
     AccelQueue gio(r.s, "gio", r.mem, r.layout);
@@ -162,7 +158,7 @@ TEST(Batching, WriteBarrierModeFallsBackToPerMessagePushes)
 
     std::vector<std::vector<std::uint8_t>> got;
     std::vector<std::uint32_t> gotTags;
-    sim::spawn(r.s, pushAll(r, mq, msgs, 9, cfg.maxBatch));
+    sim::spawn(r.s, pushAll(r, mq, msgs, 9, 4));
     sim::spawn(r.s, recvAll(gio, msgs.size(), got, gotTags));
     r.s.run();
 
@@ -175,17 +171,22 @@ TEST(Batching, WriteBarrierModeFallsBackToPerMessagePushes)
     EXPECT_EQ(mq.stats().counterValue("rx_pushed"), msgs.size());
 }
 
-/** maxBatch = 1 must be indistinguishable from the seed's sequential
- *  rxPush loop — same bytes, same simulated completion time. */
+/** A batch of one is a batch: pushing every message as a one-item
+ *  rxPushBatch() must be indistinguishable from rxPush() — the same
+ *  bytes in device memory, the same simulated completion time and
+ *  the same RDMA write count. */
 TEST(Batching, MaxBatchOneMatchesSequentialPushTiming)
 {
+    struct Outcome
+    {
+        std::vector<std::uint8_t> mem;
+        sim::Tick end = 0;
+        std::uint64_t writeOps = 0;
+    };
     auto runOnce = [](bool viaBatchCall) {
         Rig r;
-        SnicMqueueConfig cfg; // maxBatch = 1
-        auto mq = std::make_unique<SnicMqueue>(r.s, "mq", r.qp, r.layout,
-                                               MqueueKind::Server, cfg);
-        auto gio = std::make_unique<AccelQueue>(r.s, "gio", r.mem,
-                                                r.layout);
+        SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server);
+        AccelQueue gio(r.s, "gio", r.mem, r.layout);
         sim::Rng rng(3);
         std::vector<std::vector<std::uint8_t>> msgs;
         for (int i = 0; i < 40; ++i)
@@ -193,35 +194,50 @@ TEST(Batching, MaxBatchOneMatchesSequentialPushTiming)
 
         std::vector<std::vector<std::uint8_t>> got;
         std::vector<std::uint32_t> gotTags;
-        auto pushSequential = [&]() -> sim::Task {
+        auto push = [&]() -> sim::Task {
             for (std::size_t i = 0; i < msgs.size(); ++i) {
-                while (!co_await mq->rxPush(
-                    r.core, msgs[i], static_cast<std::uint32_t>(i)))
+                auto tag = static_cast<std::uint32_t>(i);
+                SnicMqueue::RxItem item{msgs[i], tag, 0};
+                for (;;) {
+                    bool ok = false;
+                    if (viaBatchCall)
+                        ok = co_await mq.rxPushBatch(r.core,
+                                                     {&item, 1}) == 1;
+                    else
+                        ok = co_await mq.rxPush(r.core, msgs[i], tag);
+                    if (ok)
+                        break;
                     co_await sim::sleep(2_us);
+                }
             }
         };
-        if (viaBatchCall)
-            sim::spawn(r.s, pushAll(r, *mq, msgs, 9, 5));
-        else
-            sim::spawn(r.s, pushSequential());
-        sim::spawn(r.s, recvAll(*gio, msgs.size(), got, gotTags));
+        sim::spawn(r.s, push());
+        sim::spawn(r.s, recvAll(gio, msgs.size(), got, gotTags));
         r.s.run();
-        EXPECT_EQ(got.size(), msgs.size());
         EXPECT_EQ(got, msgs);
-        return r.s.now();
+
+        Outcome o;
+        o.mem.resize(r.layout.totalBytes());
+        r.mem.read(r.layout.base, std::span<std::uint8_t>(o.mem));
+        o.end = r.s.now();
+        o.writeOps = mq.stats().counterValue("rx_write_ops");
+        return o;
     };
-    EXPECT_EQ(runOnce(true), runOnce(false));
+    Outcome batched = runOnce(true);
+    Outcome single = runOnce(false);
+    EXPECT_EQ(batched.mem, single.mem);
+    EXPECT_EQ(batched.end, single.end);
+    EXPECT_EQ(batched.writeOps, single.writeOps);
+    EXPECT_EQ(single.writeOps, 40u);
 }
 
 /** pollTxBatch must return every ready slot, in order and intact,
- *  for ONE fetch op — where per-slot pollTx would have paid one per
+ *  for ONE fetch op — where one-slot polls would have paid one per
  *  message. */
 TEST(Batching, PollTxBatchDrainsReadySlotsInOneFetch)
 {
     Rig r;
-    SnicMqueueConfig cfg;
-    cfg.maxBatch = 8;
-    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, cfg);
+    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server);
     AccelQueue gio(r.s, "gio", r.mem, r.layout);
 
     sim::Rng rng(7);
@@ -326,7 +342,6 @@ TEST(Batching, BatchedRuntimeEchoesConcurrentClientsFaithfully)
     accel::Gpu gpu(s, "k40m", fabric);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.mq.maxBatch = 8;
     cfg.dispatchMaxBatch = 8;
     cfg.dispatchFlushLinger = 30_us;
     cfg.forwarder.maxBatch = 8;

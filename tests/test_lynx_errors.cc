@@ -247,7 +247,6 @@ TEST(LynxErrors, UdpOverflowDropsAreCountedUnderBatchedLynxPath)
     accel::Gpu gpu(s, "k40m", fabric);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.mq.maxBatch = 8;
     cfg.dispatchMaxBatch = 8;
     cfg.forwarder.maxBatch = 8;
     cfg.gio.rxBurst = true;

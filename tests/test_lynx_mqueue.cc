@@ -142,7 +142,7 @@ TEST(SnicAccelQueue, AccelSendReachesForwarderPoll)
     bool woke = false;
     snicQ.setTxActivityHandler([&] { woke = true; });
 
-    std::optional<core::TxMessage> got;
+    std::vector<core::TxMessage> got;
     auto accelTask = [&]() -> sim::Task {
         auto p = bytes({1, 1, 2, 3, 5});
         co_await accelQ.send(9, p);
@@ -152,29 +152,29 @@ TEST(SnicAccelQueue, AccelSendReachesForwarderPoll)
     EXPECT_TRUE(woke);
 
     auto snicTask = [&]() -> sim::Task {
-        got = co_await snicQ.pollTx(r.core);
+        got = co_await snicQ.pollTxBatch(r.core, 1);
     };
     sim::spawn(r.s, snicTask());
     r.s.run();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->payload, bytes({1, 1, 2, 3, 5}));
-    EXPECT_EQ(got->tag, 9u);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].payload, bytes({1, 1, 2, 3, 5}));
+    EXPECT_EQ(got[0].tag, 9u);
 }
 
 TEST(SnicAccelQueue, PollOnEmptyTxReturnsNothing)
 {
     Rig r;
     SnicMqueue snicQ(r.s, "mq0", r.qp, r.layout, MqueueKind::Server);
-    std::optional<core::TxMessage> got;
+    std::vector<core::TxMessage> got;
     bool polled = false;
     auto snicTask = [&]() -> sim::Task {
-        got = co_await snicQ.pollTx(r.core);
+        got = co_await snicQ.pollTxBatch(r.core, 1);
         polled = true;
     };
     sim::spawn(r.s, snicTask());
     r.s.run();
     EXPECT_TRUE(polled);
-    EXPECT_FALSE(got.has_value());
+    EXPECT_TRUE(got.empty());
 }
 
 TEST(SnicAccelQueue, ManyMessagesWrapTheRingInOrder)
@@ -257,8 +257,8 @@ TEST(SnicAccelQueue, TxBackpressureBlocksAccelUntilCommit)
 
     // SNIC drains two and returns credit; the accel finishes.
     auto snicTask = [&]() -> sim::Task {
-        (void)co_await snicQ.pollTx(r.core);
-        (void)co_await snicQ.pollTx(r.core);
+        (void)co_await snicQ.pollTxBatch(r.core, 1);
+        (void)co_await snicQ.pollTxBatch(r.core, 1);
         co_await snicQ.commitTxCons(r.core);
     };
     sim::spawn(r.s, snicTask());

@@ -145,16 +145,16 @@ TEST_P(MqueueTorture, DuplexRandomTrafficOverOneQp)
         auto &q = queues[static_cast<std::size_t>(qi)];
         std::uint32_t expect = 0;
         while (expect < perQueue) {
-            auto txm = co_await q.snic->pollTx(
-                cores[static_cast<std::size_t>(qi) % 3]);
-            if (!txm) {
+            auto txm = co_await q.snic->pollTxBatch(
+                cores[static_cast<std::size_t>(qi) % 3], 1);
+            if (txm.empty()) {
                 co_await sim::sleep(5_us);
                 continue;
             }
-            Stamp st = readStamp(txm->payload);
+            Stamp st = readStamp(txm[0].payload);
             EXPECT_EQ(st.queue, static_cast<std::uint32_t>(qi));
             EXPECT_EQ(st.n, expect); // per-queue FIFO end to end
-            EXPECT_EQ(txm->payload,
+            EXPECT_EQ(txm[0].payload,
                       sentByQueue[static_cast<std::uint32_t>(qi)]
                                  [expect]);
             ++expect;
