@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -594,9 +595,10 @@ runHeadline(bool fast, lynxbench::BenchJson &json)
 // lookahead never constrains the window and the run measures pure
 // event-loop scaling across worker threads (the per-shard wheels,
 // pools, and counters must not share anything that serializes them).
-// The 1/2/4-worker sweep self-checks a scaling floor when the host
-// actually has the cores, and only a no-collapse floor when it does
-// not (CI containers are often single-core).
+// The 1/2/4-worker sweep self-checks the median per-round speedup
+// against a scaling floor when the host actually has the cores, and
+// only a no-collapse floor when it does not (CI containers are often
+// single-core).
 // ---------------------------------------------------------------------
 
 /** One shard's self-contained hop loop (the WheelHopServer workload
@@ -697,51 +699,74 @@ int
 runShardedHeadline(bool fast, lynxbench::BenchJson &json)
 {
     const std::uint64_t budget = fast ? 150'000 : 1'000'000;
-    const int reps = fast ? 2 : 3;
+    const int rounds = fast ? 5 : 7;
     const unsigned cores = std::max(
         1u, std::thread::hardware_concurrency());
+    const unsigned workerCounts[] = {1, 2, 4};
+    constexpr std::size_t kCounts = std::size(workerCounts);
 
     std::printf("\nsharded headline: %u-shard hop workload, no "
-                "cross-shard traffic (%u cores)\n",
-                kShardCount, cores);
+                "cross-shard traffic (%u cores, %d interleaved rounds, "
+                "median [min, max])\n",
+                kShardCount, cores, rounds);
 
-    double base = 0.0;
-    int rc = 0;
-    for (unsigned workers : {1u, 2u, 4u}) {
-        double best = 0.0;
-        std::uint64_t executed = 0;
-        for (int r = 0; r < reps; ++r) {
-            auto [rate, n] = shardedHopRate(workers, budget);
-            best = std::max(best, rate);
+    // Warm the per-shard pools and the worker threads once, so the
+    // measured rounds see the steady state.
+    for (unsigned workers : workerCounts)
+        (void)shardedHopRate(workers, budget / 10);
+
+    // Each round runs every worker count back to back, so host drift
+    // hits all of them alike; a round's speedup divides by the same
+    // round's 1-worker rate.
+    std::vector<double> rates[kCounts], speedups[kCounts];
+    std::uint64_t executed = 0;
+    for (int r = 0; r < rounds; ++r) {
+        double base = 0.0;
+        for (std::size_t w = 0; w < kCounts; ++w) {
+            auto [rate, n] = shardedHopRate(workerCounts[w], budget);
+            if (w == 0)
+                base = rate;
+            rates[w].push_back(rate);
+            speedups[w].push_back(rate / base);
             executed = n;
         }
-        if (workers == 1)
-            base = best;
-        double speedup = best / base;
+    }
+
+    int rc = 0;
+    for (std::size_t w = 0; w < kCounts; ++w) {
+        const unsigned workers = workerCounts[w];
+        Spread rate = spreadOf(rates[w]);
+        Spread speedup = spreadOf(speedups[w]);
         // With enough physical cores a worker is a real core and the
         // floor is a scaling claim; oversubscribed, all workers share
         // one core and the only claim is that the barrier + mailbox
         // machinery does not collapse throughput.
         double floor = cores >= workers ? 0.6 * workers : 0.4;
-        bool ok = speedup >= floor;
+        bool ok = speedup.median >= floor;
         if (!ok)
             rc = 1;
-        std::printf("  workers %u: %12.0f events/s  (%.2fx vs 1, "
-                    "floor %.2fx%s)%s\n",
-                    workers, best, speedup, floor,
+        std::printf("  workers %u: %12.0f events/s [%.0f, %.0f]  "
+                    "(%.2fx [%.2f, %.2f] vs 1, floor %.2fx%s)%s\n",
+                    workers, rate.median, rate.min, rate.max,
+                    speedup.median, speedup.min, speedup.max, floor,
                     cores >= workers ? "" : " [oversubscribed]",
                     ok ? "" : "  FAIL");
         json.addRow({{"metric", "sharded_events_per_sec"},
                      {"shards", static_cast<int>(kShardCount)},
                      {"workers", static_cast<int>(workers)},
-                     {"value", best},
+                     {"value", rate.median},
+                     {"min", rate.min},
+                     {"max", rate.max},
                      {"events", executed},
-                     {"speedup_vs_1", speedup},
+                     {"speedup_vs_1", speedup.median},
+                     {"speedup_min", speedup.min},
+                     {"speedup_max", speedup.max},
+                     {"rounds", static_cast<std::uint64_t>(rounds)},
                      {"min_accepted", floor},
                      {"cores", static_cast<int>(cores)}});
     }
     if (rc)
-        std::fprintf(stderr, "FAIL: sharded engine scaling below "
+        std::fprintf(stderr, "FAIL: median sharded engine scaling below "
                              "floor (see rows above)\n");
     return rc;
 }

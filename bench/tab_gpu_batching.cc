@@ -63,8 +63,8 @@ measure(const apps::LeNet &model,
     auto &svc = runtime.addService(scfg);
     auto queues = runtime.makeAccelQueues(svc, accel);
     apps::LenetServiceConfig lcfg;
-    lcfg.maxBatch = batch;
-    lcfg.batchLinger = batch > 1 ? 20_us : 0;
+    lcfg.batch.maxBatch = batch;
+    lcfg.batch.linger = batch > 1 ? 20_us : 0;
     sim::spawn(s, apps::runLenetServer(gpu, *queues[0], model, lcfg));
     runtime.start();
 

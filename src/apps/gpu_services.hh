@@ -43,12 +43,14 @@ namespace lynx::apps {
 
 /**
  * Dynamic request batching policy shared by the persistent-kernel
- * services. Off by default: maxBatch = 1 leaves the seed per-message
- * serve loop (and its exact timing) untouched.
+ * services. Every service runs one drain → batch compute → sendBatch
+ * loop; the default maxBatch = 1 serves one request per iteration at
+ * the seed's timestamps.
  */
 struct ServiceBatchConfig
 {
-    /** Serve up to this many requests per iteration; 1 = off. */
+    /** Serve up to this many requests per iteration (>= 1; the
+     *  services assert it). */
     int maxBatch = 1;
 
     /** Bounded wait to top up a partial batch under backlog. An idle
@@ -65,10 +67,10 @@ struct ServiceBatchConfig
  * and waits for a predefined period emulating request processing",
  * §6.2). Holds one threadblock slot forever.
  *
- * With @p batch enabled, requests are drained with recvBatch (one
- * poll + one consumer update per sweep), processed back-to-back, and
- * answered with sendBatch (one doorbell write per ring segment);
- * emulated processing stays serial per request.
+ * Requests are drained with recvBatch (one poll + one consumer
+ * update per sweep of up to @p batch.maxBatch), processed
+ * back-to-back, and answered with sendBatch (one doorbell write per
+ * ring segment); emulated processing stays serial per request.
  */
 sim::Task runEchoBlock(accel::Gpu &gpu, core::AccelQueue &q,
                        sim::Tick procTime, std::size_t respBytes = 0,
@@ -99,15 +101,10 @@ struct LenetServiceConfig
     double jitterPct = 0.0;
     std::uint64_t jitterSeed = 99;
 
-    /** Dynamic request batching: classify up to this many images per
-     *  batched child-kernel sequence (one launch per layer for the
-     *  whole batch, occupancy-aware duration). 1 = off (seed
-     *  behaviour, bit-identical timing). */
-    int maxBatch = 1;
-
-    /** Bounded top-up wait for a partial batch under backlog (see
-     *  ServiceBatchConfig::linger). */
-    sim::Tick batchLinger = 0;
+    /** Dynamic request batching: classify up to batch.maxBatch images
+     *  per batched child-kernel sequence (one launch per layer for the
+     *  whole batch, occupancy-aware duration). */
+    ServiceBatchConfig batch;
 };
 
 /**
@@ -148,11 +145,11 @@ constexpr double faceVerThreshold = 400.0;
  * compare (≈50 us of GPU time, real LBP result), and replies with a
  * FaceVerResult byte.
  *
- * With @p batch enabled, a drained batch issues its backend GETs as
- * one sendBatch on @p dbQ, collects the replies, charges one
- * occupancy-aware batched LBP kernel for the whole batch, and
- * answers with one sendBatch on @p serverQ. Per-request answers are
- * bit-identical to the unbatched path.
+ * A drained batch (up to @p batch.maxBatch requests) issues its
+ * backend GETs as one sendBatch on @p dbQ, collects the replies,
+ * charges one occupancy-aware batched LBP kernel for the whole
+ * batch, and answers with one sendBatch on @p serverQ. Each answer
+ * equals faceVerDecide() on the request and its enrolled image.
  */
 sim::Task runFaceVerWorker(accel::Gpu &gpu, core::AccelQueue &serverQ,
                            core::AccelQueue &dbQ,

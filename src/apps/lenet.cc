@@ -291,6 +291,16 @@ LeNet::forwardBatch(
     std::span<const std::span<const std::uint8_t>> images) const
 {
     using namespace lenet_detail;
+    // Below minKernelBatch images the batch loop is too short to pay
+    // for itself and a loop of the scalar pass (the same numbers) is
+    // cheaper on the host.
+    if (images.size() < minKernelBatch) {
+        std::vector<std::array<float, numClasses>> out;
+        out.reserve(images.size());
+        for (std::span<const std::uint8_t> img : images)
+            out.push_back(forward(img));
+        return out;
+    }
     const int batch = static_cast<int>(images.size());
     std::vector<float> x(static_cast<std::size_t>(batch) * imageBytes);
     for (int bi = 0; bi < batch; ++bi) {

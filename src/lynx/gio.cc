@@ -32,6 +32,8 @@ AccelQueue::AccelQueue(sim::Simulator &sim, std::string name,
     cBatchRecvMsgs_ = &stats_.counter("batch.recv_msgs");
     cBatchSends_ = &stats_.counter("batch.sends");
     cBatchSendMsgs_ = &stats_.counter("batch.send_msgs");
+    hBatchRecvSize_ = &stats_.histogram("batch.recv_size");
+    hBatchSendSize_ = &stats_.histogram("batch.send_size");
 
     sim_.metrics().add("gio." + name_, stats_);
 }
@@ -55,75 +57,60 @@ AccelQueue::rxReady() const
 sim::Co<GioMessage>
 AccelQueue::recv()
 {
-    // Burst-drained messages were fully paid for (poll, copy, register
-    // update) at sweep time; handing one out is a register move.
-    if (!burst_.empty()) {
-        GioMessage msg = std::move(burst_.front());
-        burst_.pop_front();
-        if (sim::SpanCollector *spans = sim_.spans())
-            spans->stampTag(&mem_, layout_.base, msg.tag,
-                            sim::Stage::AppStart, sim_.now());
-        co_return msg;
-    }
-    for (;;) {
+    std::vector<GioMessage> one = co_await take(1, /*park=*/true);
+    co_return std::move(one.front());
+}
+
+sim::Co<std::vector<GioMessage>>
+AccelQueue::recvBatch(std::size_t maxN)
+{
+    return take(maxN, /*park=*/true);
+}
+
+sim::Co<std::vector<GioMessage>>
+AccelQueue::tryRecvBatch(std::size_t maxN)
+{
+    return take(maxN, /*park=*/false);
+}
+
+sim::Co<std::vector<GioMessage>>
+AccelQueue::take(std::size_t maxN, bool park)
+{
+    LYNX_ASSERT(maxN >= 1, name_, ": receive of ", maxN, " messages");
+    // Earlier sweeps may have staged more than their caller took.
+    while (burst_.empty()) {
         rxActivity_.close();
-        // One poll of the doorbell word in local memory.
+        // One doorbell poll discovers the whole run of ready slots.
         co_await sim::sleep(cfg_.localLatency);
-        std::uint64_t slotEnd = layout_.rxSlotEnd(rxConsumed_);
-        SlotMeta meta = readSlotMeta(mem_, slotEnd);
+        SlotMeta meta = readSlotMeta(mem_, layout_.rxSlotEnd(rxConsumed_));
         if (meta.seq == static_cast<std::uint32_t>(rxConsumed_ + 1)) {
-            if (cfg_.rxBurst) {
-                co_await sweepReady(layout_.slots);
-                if (!burst_.empty()) {
-                    GioMessage msg = std::move(burst_.front());
-                    burst_.pop_front();
-                    co_return msg;
-                }
-                // Every swept slot was a repaired-gap marker; keep
-                // waiting for a real message.
-                continue;
-            }
-            if (meta.err == kSlotSkipErr) {
-                // Repaired failover gap (zero-length skip slot):
-                // consume it internally — no application delivery,
-                // no response — and advance the consumer register so
-                // the SNIC's flow control sees the credit.
-                ++rxConsumed_;
-                mem_.writeU32(layout_.rxConsOff(),
-                              static_cast<std::uint32_t>(rxConsumed_));
-                co_await sim::sleep(cfg_.localLatency);
-                cRxSkipped_->add();
-                continue;
-            }
-            GioMessage msg;
-            msg.tag = meta.tag;
-            msg.err = meta.err;
-            msg.payload = readSlotPayload(mem_, slotEnd, meta);
-            if (sim::SpanCollector *spans = sim_.spans())
-                spans->stampTag(&mem_, layout_.base, meta.tag,
-                                sim::Stage::GioPop, sim_.now());
-            co_await sim::sleep(static_cast<sim::Tick>(
-                cfg_.perByte * static_cast<double>(meta.len)));
-            ++rxConsumed_;
-            // Update the consumer register (local write; the SNIC
-            // reads it lazily over RDMA for flow control).
+            Sweep sw = sweepReady(cfg_.rxBurst ? layout_.slots : maxN);
+            // Only staged messages cost a copy: a sweep of nothing
+            // but repaired-gap markers does not even yield (and
+            // stages nothing, so a parking take polls again).
+            if (sw.drained > sw.skipped)
+                co_await sim::sleep(static_cast<sim::Tick>(
+                    cfg_.perByte * static_cast<double>(sw.bytes)));
+            // One consumer-register update acknowledges the whole run
+            // (a local write; the SNIC reads it lazily over RDMA for
+            // flow control).
+            rxConsumed_ += sw.drained;
             mem_.writeU32(layout_.rxConsOff(),
                           static_cast<std::uint32_t>(rxConsumed_));
             co_await sim::sleep(cfg_.localLatency);
-            cRxMsgs_->add();
-            cRxBytes_->add(meta.len);
-            if (sim::SpanCollector *spans = sim_.spans())
-                spans->stampTag(&mem_, layout_.base, meta.tag,
-                                sim::Stage::AppStart, sim_.now());
-            co_return msg;
+            cRxMsgs_->add(sw.drained - sw.skipped);
+            cRxBytes_->add(sw.bytes);
+            cRxBursts_->add();
+            if (sw.skipped > 0)
+                cRxSkipped_->add(sw.skipped);
+        } else if (park) {
+            co_await rxActivity_.wait();
         }
-        co_await rxActivity_.wait();
+        if (!park)
+            break;
     }
-}
-
-std::vector<GioMessage>
-AccelQueue::popBurst(std::size_t maxN)
-{
+    // Hand out staged messages, stamping AppStart on each (their
+    // poll and copy costs were paid at sweep time).
     std::vector<GioMessage> out;
     out.reserve(std::min(maxN, burst_.size()));
     sim::SpanCollector *spans = sim_.spans();
@@ -135,149 +122,57 @@ AccelQueue::popBurst(std::size_t maxN)
                             sim::Stage::AppStart, sim_.now());
         out.push_back(std::move(msg));
     }
-    return out;
-}
-
-sim::Co<std::vector<GioMessage>>
-AccelQueue::recvBatch(std::size_t maxN)
-{
-    LYNX_ASSERT(maxN >= 1, name_, ": recvBatch of ", maxN, " messages");
-    for (;;) {
-        // Earlier sweeps may have staged more than their caller took.
-        if (!burst_.empty())
-            break;
-        rxActivity_.close();
-        // One doorbell poll discovers the whole run of ready slots.
-        co_await sim::sleep(cfg_.localLatency);
-        SlotMeta meta = readSlotMeta(mem_, layout_.rxSlotEnd(rxConsumed_));
-        if (meta.seq == static_cast<std::uint32_t>(rxConsumed_ + 1)) {
-            co_await sweepReady(maxN);
-            if (!burst_.empty())
-                break;
-            // Every swept slot was a repaired-gap marker.
-            continue;
-        }
-        co_await rxActivity_.wait();
-    }
-    std::vector<GioMessage> out = popBurst(maxN);
-    cBatchRecvs_->add();
-    cBatchRecvMsgs_->add(out.size());
-    stats_.histogram("batch.recv_size").record(out.size());
-    co_return out;
-}
-
-sim::Co<std::vector<GioMessage>>
-AccelQueue::tryRecvBatch(std::size_t maxN)
-{
-    LYNX_ASSERT(maxN >= 1, name_, ": tryRecvBatch of ", maxN,
-                " messages");
-    if (burst_.empty()) {
-        // One probe of the doorbell word; no parking.
-        co_await sim::sleep(cfg_.localLatency);
-        SlotMeta meta = readSlotMeta(mem_, layout_.rxSlotEnd(rxConsumed_));
-        if (meta.seq == static_cast<std::uint32_t>(rxConsumed_ + 1))
-            co_await sweepReady(maxN);
-    }
-    std::vector<GioMessage> out = popBurst(maxN);
     if (!out.empty()) {
         cBatchRecvs_->add();
         cBatchRecvMsgs_->add(out.size());
-        stats_.histogram("batch.recv_size").record(out.size());
+        hBatchRecvSize_->record(out.size());
     }
     co_return out;
 }
 
-sim::Co<void>
+AccelQueue::Sweep
 AccelQueue::sweepReady(std::uint64_t maxSlots)
 {
     // Multi-slot doorbell consumption: a batched SNIC write lands all
     // its doorbells atomically, so the run of consecutive ready slots
-    // from rxConsumed_ is exactly the (tail of the) batch. The one
-    // doorbell poll already paid by recv() discovered the whole run;
-    // the sweep pays the payload copies and a single consumer-register
-    // update for all of it. Repaired-gap markers (kSlotSkipErr) are
-    // consumed but never staged for delivery.
-    std::uint64_t drained = 0;
-    std::uint64_t skipped = 0;
-    std::uint64_t sweptBytes = 0;
-    for (;;) {
-        std::uint64_t slotEnd = layout_.rxSlotEnd(rxConsumed_ + drained);
+    // from rxConsumed_ is exactly the (tail of the) batch, and the
+    // one doorbell poll take() already paid discovered all of it.
+    // Repaired-gap markers (kSlotSkipErr) are consumed but never
+    // staged for delivery.
+    Sweep sw;
+    const std::uint64_t width =
+        std::min<std::uint64_t>(maxSlots, layout_.slots);
+    while (sw.drained < width) {
+        std::uint64_t slot = rxConsumed_ + sw.drained;
+        std::uint64_t slotEnd = layout_.rxSlotEnd(slot);
         SlotMeta meta = readSlotMeta(mem_, slotEnd);
-        if (meta.seq !=
-            static_cast<std::uint32_t>(rxConsumed_ + drained + 1))
+        if (meta.seq != static_cast<std::uint32_t>(slot + 1))
             break;
+        ++sw.drained;
         if (meta.err == kSlotSkipErr) {
-            ++skipped;
-        } else {
-            GioMessage msg;
-            msg.tag = meta.tag;
-            msg.err = meta.err;
-            msg.payload = readSlotPayload(mem_, slotEnd, meta);
-            if (sim::SpanCollector *spans = sim_.spans())
-                spans->stampTag(&mem_, layout_.base, meta.tag,
-                                sim::Stage::GioPop, sim_.now());
-            sweptBytes += meta.len;
-            burst_.push_back(std::move(msg));
+            ++sw.skipped;
+            continue;
         }
-        if (++drained == std::min<std::uint64_t>(maxSlots, layout_.slots))
-            break;
+        GioMessage msg;
+        msg.tag = meta.tag;
+        msg.err = meta.err;
+        msg.payload = readSlotPayload(mem_, slotEnd, meta);
+        if (sim::SpanCollector *spans = sim_.spans())
+            spans->stampTag(&mem_, layout_.base, meta.tag,
+                            sim::Stage::GioPop, sim_.now());
+        sw.bytes += meta.len;
+        burst_.push_back(std::move(msg));
     }
-    LYNX_ASSERT(drained > 0, name_, ": burst sweep found no doorbell");
-    co_await sim::sleep(static_cast<sim::Tick>(
-        cfg_.perByte * static_cast<double>(sweptBytes)));
-    rxConsumed_ += drained;
-    mem_.writeU32(layout_.rxConsOff(),
-                  static_cast<std::uint32_t>(rxConsumed_));
-    co_await sim::sleep(cfg_.localLatency);
-    cRxMsgs_->add(drained - skipped);
-    cRxBytes_->add(sweptBytes);
-    cRxBursts_->add();
-    if (skipped > 0)
-        cRxSkipped_->add(skipped);
+    LYNX_ASSERT(sw.drained > 0, name_, ": sweep found no doorbell");
+    return sw;
 }
 
 sim::Co<void>
 AccelQueue::send(std::uint32_t tag, std::span<const std::uint8_t> payload,
                  std::uint32_t err)
 {
-    LYNX_ASSERT(payload.size() <= layout_.maxPayload(), name_,
-                ": payload of ", payload.size(), " bytes exceeds slot");
-    // The app hands over its response here: compute ends now (any
-    // flow-control stall below is queueing, not compute).
-    if (sim::SpanCollector *spans = sim_.spans())
-        spans->stampTag(&mem_, layout_.base, tag, sim::Stage::AppEnd,
-                        sim_.now());
-    // Flow control: wait for TX-ring space (SNIC returns credit by
-    // writing txCons after forwarding).
-    for (;;) {
-        txConsActivity_.close();
-        co_await sim::sleep(cfg_.localLatency);
-        txConsCache_ =
-            advance(txConsCache_, mem_.readU32(layout_.txConsOff()));
-        if (txProduced_ - txConsCache_ < layout_.slots)
-            break;
-        cTxStalls_->add();
-        co_await txConsActivity_.wait();
-    }
-
-    SlotMeta meta;
-    meta.len = static_cast<std::uint32_t>(payload.size());
-    meta.tag = tag;
-    meta.err = err;
-    meta.seq = static_cast<std::uint32_t>(txProduced_ + 1);
-    auto buf = encodeSlotWrite(payload, meta);
-
-    co_await sim::sleep(
-        cfg_.localLatency +
-        static_cast<sim::Tick>(cfg_.perByte *
-                               static_cast<double>(payload.size())));
-    // One contiguous low-to-high write, doorbell bytes last; the
-    // SNIC-side watchpoint on the TX ring wakes the forwarder.
-    std::uint64_t slotEnd = layout_.txSlotEnd(txProduced_);
-    mem_.write(slotWriteOffset(slotEnd, meta.len), buf);
-    ++txProduced_;
-    cTxMsgs_->add();
-    cTxBytes_->add(meta.len);
+    const GioTxItem item{tag, payload, err};
+    co_await sendBatch({&item, 1});
 }
 
 sim::Co<void>
@@ -296,8 +191,6 @@ AccelQueue::sendBatch(std::span<const GioTxItem> items)
             spans->stampTag(&mem_, layout_.base, it.tag,
                             sim::Stage::AppEnd, sim_.now());
     }
-    std::vector<SlotRecord> recs;
-    recs.reserve(items.size());
     std::size_t sent = 0;
     while (sent < items.size()) {
         // Flow control: wait for at least one TX-ring credit.
@@ -319,7 +212,10 @@ AccelQueue::sendBatch(std::span<const GioTxItem> items)
             layout_.slots - txProduced_ % layout_.slots;
         std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
             {items.size() - sent, credit, untilWrap}));
-        recs.clear();
+        // The scratch records are only read by the encoder below,
+        // before the write suspends, so concurrent senders can share
+        // them.
+        txRecs_.clear();
         std::uint64_t segBytes = 0;
         for (std::size_t j = 0; j < n; ++j) {
             const GioTxItem &it = items[sent + j];
@@ -328,11 +224,11 @@ AccelQueue::sendBatch(std::span<const GioTxItem> items)
             meta.tag = it.tag;
             meta.err = it.err;
             meta.seq = static_cast<std::uint32_t>(txProduced_ + j + 1);
-            recs.push_back({it.payload, meta});
+            txRecs_.push_back({it.payload, meta});
             segBytes += it.payload.size();
         }
         auto [off, buf] =
-            encodeTxBatchSegment(layout_, txProduced_, recs);
+            encodeTxBatchSegment(layout_, txProduced_, txRecs_);
         co_await sim::sleep(
             cfg_.localLatency +
             static_cast<sim::Tick>(cfg_.perByte *
@@ -349,7 +245,7 @@ AccelQueue::sendBatch(std::span<const GioTxItem> items)
     }
     cBatchSends_->add();
     cBatchSendMsgs_->add(items.size());
-    stats_.histogram("batch.send_size").record(items.size());
+    hBatchSendSize_->record(items.size());
 }
 
 } // namespace lynx::core

@@ -45,12 +45,12 @@ struct GioConfig
     /** Per-byte cost of reading/writing payload in local memory. */
     double perByte = 0.15;
 
-    /** Consume multi-slot doorbells: when the SNIC lands a batched
-     *  RX write, one doorbell poll discovers the whole run of ready
-     *  slots; recv() drains them in one sweep (one poll latency, one
+    /** Sweep width of every receive: on, one doorbell poll drains
+     *  the whole run of ready slots (one poll latency, one
      *  consumer-register update) and serves the surplus from a local
-     *  staging queue. Off (default) = one poll + one register write
-     *  per message, exactly the unbatched behaviour. */
+     *  staging queue; off (default), a receive of n messages sweeps
+     *  at most n slots, so recv() pays one poll + one register write
+     *  per message. */
     bool rxBurst = false;
 };
 
@@ -100,20 +100,21 @@ class AccelQueue
     const MqueueLayout &layout() const { return layout_; }
 
     /** Await the next request from the RX ring (zero-copy read of
-     *  accelerator-local memory). */
+     *  accelerator-local memory): a recvBatch() of one. */
     sim::Co<GioMessage> recv();
 
     /** Non-blocking probe: @return whether recv() would not park. */
     bool rxReady() const;
 
     /**
-     * Await at least one request, then drain up to @p maxN ready RX
-     * slots in one sweep: one doorbell poll discovers the run of
-     * consecutive ready slots, and one consumer-register update
-     * acknowledges all of them (dynamic request batching, the
-     * accelerator-side consumer of the SNIC's batched RDMA pushes).
-     * Surplus ready slots beyond @p maxN stay staged for the next
-     * call. Always returns 1..maxN messages.
+     * Await at least one request, then drain the ready RX slots in
+     * one sweep of at most @p maxN slots (the whole ring with
+     * rxBurst): one doorbell poll discovers the run of consecutive
+     * ready slots, and one consumer-register update acknowledges all
+     * of them (dynamic request batching, the accelerator-side
+     * consumer of the SNIC's batched RDMA pushes). Swept messages
+     * beyond @p maxN stay staged for the next call. Always returns
+     * 1..maxN messages.
      */
     sim::Co<std::vector<GioMessage>> recvBatch(std::size_t maxN);
 
@@ -125,8 +126,9 @@ class AccelQueue
     sim::Co<std::vector<GioMessage>> tryRecvBatch(std::size_t maxN);
 
     /**
-     * Write a message into the TX ring and ring its doorbell.
-     * Suspends while the TX ring is full (SNIC not yet forwarded).
+     * Write a message into the TX ring and ring its doorbell: a
+     * sendBatch() of one. Suspends while the TX ring is full (SNIC
+     * not yet forwarded).
      */
     sim::Co<void> send(std::uint32_t tag,
                        std::span<const std::uint8_t> payload,
@@ -138,9 +140,9 @@ class AccelQueue
      * each doorbell after its payload, the batch's highest doorbell
      * last — so the SNIC forwarder's batched TX drain observes the
      * whole run at once. Splits only at ring wrap or when flow
-     * control runs out of credit (then stalls like send() until the
-     * SNIC returns credit). Equivalent to send() per item, minus the
-     * per-item poll and doorbell costs.
+     * control runs out of credit (then stalls until the SNIC returns
+     * credit). A one-item call writes exactly encodeSlotWrite()'s
+     * bytes at slotWriteOffset().
      */
     sim::Co<void> sendBatch(std::span<const GioTxItem> items);
 
@@ -148,15 +150,30 @@ class AccelQueue
     sim::StatSet &stats() { return stats_; }
 
   private:
-    /** Sweep the run of consecutive ready RX slots — at most
+    /**
+     * The one receive path: while nothing is staged, poll the
+     * doorbell, sweepReady() the run of ready slots (the whole ring
+     * with rxBurst, else at most @p maxN) and pay its copy and one
+     * consumer-register write; then hand out up to @p maxN staged
+     * messages. With @p park false, gives up after one poll and may
+     * return nothing.
+     */
+    sim::Co<std::vector<GioMessage>> take(std::size_t maxN, bool park);
+
+    /** What one sweepReady() consumed. */
+    struct Sweep
+    {
+        std::uint64_t drained = 0; ///< slots consumed
+        std::uint64_t skipped = 0; ///< of which repaired-gap markers
+        std::uint64_t bytes = 0;   ///< payload bytes staged
+    };
+
+    /** Stage the run of consecutive ready RX slots — at most
      *  @p maxSlots of them — into burst_ (@pre slot rxConsumed_ is
      *  ready and its poll latency has been paid). Repaired-gap skip
-     *  slots are consumed without staging, so burst_ may stay empty. */
-    sim::Co<void> sweepReady(std::uint64_t maxSlots);
-
-    /** Pop up to @p maxN staged messages out of burst_, stamping
-     *  AppStart on each (costs were paid at sweep time). */
-    std::vector<GioMessage> popBurst(std::size_t maxN);
+     *  slots are consumed without staging, so burst_ may stay empty.
+     *  Takes no simulated time: take() charges the sweep. */
+    Sweep sweepReady(std::uint64_t maxSlots);
 
     /** Extend 32-bit register value @p observed onto 64-bit @p cache. */
     static std::uint64_t
@@ -176,9 +193,12 @@ class AccelQueue
     std::uint64_t txProduced_ = 0;
     std::uint64_t txConsCache_ = 0;
 
-    /** Messages drained by a burst sweep but not yet recv()ed (their
+    /** Messages drained by a sweep but not yet handed out (their
      *  poll + copy costs were paid at sweep time). */
     std::deque<GioMessage> burst_;
+
+    /** sendBatch()'s segment records, reused across calls. */
+    std::vector<SlotRecord> txRecs_;
 
     sim::Gate rxActivity_;
     sim::Gate txConsActivity_;
@@ -199,6 +219,8 @@ class AccelQueue
     sim::Counter *cBatchRecvMsgs_;
     sim::Counter *cBatchSends_;
     sim::Counter *cBatchSendMsgs_;
+    sim::Histogram *hBatchRecvSize_;
+    sim::Histogram *hBatchSendSize_;
 };
 
 } // namespace lynx::core

@@ -9,6 +9,22 @@
 
 namespace lynx::core {
 
+namespace {
+
+/** @return the metadata trailer of @p it written into RX slot @p slot. */
+SlotMeta
+rxMeta(const SnicMqueue::RxItem &it, std::uint64_t slot)
+{
+    SlotMeta meta;
+    meta.len = static_cast<std::uint32_t>(it.payload.size());
+    meta.tag = it.tag;
+    meta.err = it.err;
+    meta.seq = static_cast<std::uint32_t>(slot + 1);
+    return meta;
+}
+
+} // namespace
+
 SnicMqueue::SnicMqueue(sim::Simulator &sim, std::string name,
                        rdma::QueuePair &qp, MqueueLayout layout,
                        MqueueKind kind, SnicMqueueConfig cfg)
@@ -239,50 +255,116 @@ sim::Co<bool>
 SnicMqueue::rxPush(sim::Core &core, std::span<const std::uint8_t> payload,
                    std::uint32_t tag, std::uint32_t err)
 {
-    LYNX_ASSERT(payload.size() <= layout_.maxPayload(), name_,
-                ": payload exceeds slot capacity");
-    if (!co_await awaitRxSlot(core)) {
-        cOverflow_->add();
-        co_return false;
+    const RxItem item{payload, tag, err};
+    co_return co_await rxPushBatch(core, {&item, 1}) == 1;
+}
+
+sim::Co<std::size_t>
+SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
+{
+    for (const RxItem &it : items) {
+        LYNX_ASSERT(it.payload.size() <= layout_.maxPayload(), name_,
+                    ": payload exceeds slot capacity");
     }
+    // Only the coalesced write has one contiguous image to span
+    // several slots; the §5.1 barrier sequence and the split write
+    // go one slot per segment.
+    const bool multiSlot = cfg_.coalesceMetadata && !cfg_.writeBarrier;
 
-    // Claim the slot *before* any suspension point: several listener
-    // tasks may push into the same mqueue concurrently, and two
-    // writers must never pick the same slot. Claim order equals seq
-    // order; the accelerator consumes strictly by seq, so slightly
-    // out-of-order deliveries on the QP are harmless.
-    std::uint64_t mySlot = rxProduced_++;
+    std::size_t accepted = 0;
+    while (accepted < items.size()) {
+        // The credit gate runs once per segment, not once per message.
+        if (!co_await awaitRxSlot(core)) {
+            cOverflow_->add(items.size() - accepted);
+            break;
+        }
+        std::size_t k = 1;
+        if (multiSlot) {
+            std::uint64_t avail =
+                layout_.slots - (rxProduced_ - rxConsCache_);
+            // One segment must stay contiguous in the ring: stop at
+            // the wrap boundary and emit the remainder as the next
+            // segment.
+            k = std::min<std::size_t>(
+                {items.size() - accepted, avail,
+                 layout_.slots - rxProduced_ % layout_.slots});
+        }
 
-    SlotMeta meta;
-    meta.len = static_cast<std::uint32_t>(payload.size());
-    meta.tag = tag;
-    meta.err = err;
-    meta.seq = static_cast<std::uint32_t>(mySlot + 1);
-    std::uint64_t slotEnd = layout_.rxSlotEnd(mySlot);
+        // Claim the whole segment before any suspension point:
+        // several listener tasks may push into the same mqueue
+        // concurrently, and two writers must never pick the same
+        // slot. Claim order equals seq order; the accelerator
+        // consumes strictly by seq, so slightly out-of-order
+        // deliveries on the QP are harmless.
+        std::uint64_t firstSlot = rxProduced_;
+        rxProduced_ += k;
 
-    // A write whose retry budget is exhausted leaves a permanent gap
-    // at mySlot: the accelerator's strict-seq consumption would wedge
-    // on it. Record the slot so failover/revival can repair it with a
-    // kSlotSkipErr marker, and report failure to the caller.
-    auto lose = [&] {
-        lostSlots_.push_back(mySlot);
-        cSlotsLost_->add();
-    };
+        std::span<const RxItem> seg = items.subspan(accepted, k);
+        bool written = false;
+        if (multiSlot) {
+            // The scratch records are only read by the encoder below,
+            // before the write suspends, so concurrent pushers can
+            // share them.
+            recs_.clear();
+            for (std::size_t j = 0; j < k; ++j)
+                recs_.push_back(
+                    {seg[j].payload, rxMeta(seg[j], firstSlot + j)});
+            auto [off, buf] =
+                encodeRxBatchSegment(layout_, firstSlot, recs_);
+            // One post, one RDMA write, one trailing doorbell for the
+            // whole segment; doorbell bytes land last.
+            cRxWriteOps_->add();
+            written = co_await pushWrite(core, off, std::move(buf));
+        } else {
+            written = co_await writeSplitSlot(core, firstSlot, seg.front());
+        }
+        if (!written) {
+            // Retry budget exhausted: the claimed segment is a
+            // permanent sequence gap that would wedge the
+            // accelerator's strict-seq consumption. Record it for the
+            // repair pass (kSlotSkipErr markers); the unaccepted
+            // suffix is reported back to the caller.
+            for (std::size_t j = 0; j < k; ++j)
+                lostSlots_.push_back(firstSlot + j);
+            cSlotsLost_->add(k);
+            break;
+        }
+        std::uint64_t segBytes = 0;
+        for (const RxItem &it : seg)
+            segBytes += it.payload.size();
+        LYNX_TRACE(sim_, "mqueue", name_, ": rx push seq ", firstSlot + 1,
+                   "..", firstSlot + k, " (", segBytes, " B payload)");
+        if (sim::SpanCollector *spans = sim_.spans()) {
+            for (const RxItem &it : seg)
+                spans->stampTag(&qp_.target(), layout_.base, it.tag,
+                                sim::Stage::MqueueWrite, sim_.now());
+        }
+        cRxCoalesced_->add(k - 1);
+        cRxPushed_->add(k);
+        cRxBytes_->add(segBytes);
+        accepted += k;
+    }
+    co_return accepted;
+}
 
+sim::Co<bool>
+SnicMqueue::writeSplitSlot(sim::Core &core, std::uint64_t slot,
+                           const RxItem &item)
+{
+    const SlotMeta meta = rxMeta(item, slot);
+    const std::uint64_t slotEnd = layout_.rxSlotEnd(slot);
     if (cfg_.writeBarrier) {
         // §5.1 GPU consistency workaround: RDMA write of the data,
         // blocking RDMA read as a write barrier, RDMA write of the
         // doorbell. Three ops, one of them blocking.
         SlotMeta noBell = meta;
         noBell.seq = 0;
-        auto buf = encodeSlotWrite(payload, noBell);
+        auto buf = encodeSlotWrite(item.payload, noBell);
         buf.resize(buf.size() - 4); // everything but the doorbell
         cRxWriteOps_->add(3);
         if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
-                                std::move(buf))) {
-            lose();
+                                std::move(buf)))
             co_return false;
-        }
         bool barrierOk = false;
         for (int attempt = 0;; ++attempt) {
             co_await core.exec(qp_.path().postCost);
@@ -300,150 +382,34 @@ SnicMqueue::rxPush(sim::Core &core, std::span<const std::uint8_t> payload,
             cRdmaRetries_->add();
             co_await sim::sleep(cfg_.retry.backoff(attempt));
         }
-        if (cfg_.retry.enabled() && !barrierOk) {
-            lose();
+        if (cfg_.retry.enabled() && !barrierOk)
             co_return false;
-        }
         std::uint32_t s = meta.seq;
         std::vector<std::uint8_t> bell{static_cast<std::uint8_t>(s),
                                        static_cast<std::uint8_t>(s >> 8),
                                        static_cast<std::uint8_t>(s >> 16),
                                        static_cast<std::uint8_t>(s >> 24)};
-        if (!co_await pushWrite(core, slotEnd - 4, std::move(bell))) {
-            lose();
-            co_return false;
-        }
-    } else if (cfg_.coalesceMetadata) {
-        // One contiguous low-to-high write; doorbell bytes land last.
-        cRxWriteOps_->add();
-        if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
-                                encodeSlotWrite(payload, meta))) {
-            lose();
-            co_return false;
-        }
-    } else {
-        // Separate data and metadata writes (2 ops; RC keeps order).
-        cRxWriteOps_->add(2);
-        if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
-                                {payload.begin(), payload.end()})) {
-            lose();
-            co_return false;
-        }
-        std::vector<std::uint8_t> metaBuf(SlotMeta::bytes);
-        auto putU32 = [&](std::size_t off, std::uint32_t v) {
-            metaBuf[off] = static_cast<std::uint8_t>(v);
-            metaBuf[off + 1] = static_cast<std::uint8_t>(v >> 8);
-            metaBuf[off + 2] = static_cast<std::uint8_t>(v >> 16);
-            metaBuf[off + 3] = static_cast<std::uint8_t>(v >> 24);
-        };
-        putU32(0, meta.len);
-        putU32(4, meta.tag);
-        putU32(8, meta.err);
-        putU32(12, meta.seq);
-        if (!co_await pushWrite(core, slotEnd - SlotMeta::bytes,
-                                std::move(metaBuf))) {
-            lose();
-            co_return false;
-        }
+        co_return co_await pushWrite(core, slotEnd - 4, std::move(bell));
     }
 
-    LYNX_TRACE(sim_, "mqueue", name_, ": rx push seq ", meta.seq,
-               " len ", meta.len, " tag ", meta.tag);
-    if (sim::SpanCollector *spans = sim_.spans())
-        spans->stampTag(&qp_.target(), layout_.base, tag,
-                        sim::Stage::MqueueWrite, sim_.now());
-    cRxPushed_->add();
-    cRxBytes_->add(meta.len);
-    co_return true;
-}
-
-sim::Co<std::size_t>
-SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
-{
-    // Modes that cannot coalesce across slots (the §5.1 barrier
-    // sequence is strictly per-message; split-write mode has no
-    // single contiguous image to emit) degrade to sequential pushes
-    // with identical per-message timing.
-    if (cfg_.writeBarrier || !cfg_.coalesceMetadata) {
-        std::size_t n = 0;
-        for (const RxItem &it : items) {
-            bool ok = co_await rxPush(core, it.payload, it.tag, it.err);
-            if (!ok)
-                break;
-            ++n;
-        }
-        co_return n;
-    }
-
-    for (const RxItem &it : items) {
-        LYNX_ASSERT(it.payload.size() <= layout_.maxPayload(), name_,
-                    ": payload exceeds slot capacity");
-    }
-
-    std::size_t accepted = 0;
-    while (accepted < items.size()) {
-        // The credit gate runs once per segment, not once per message.
-        if (!co_await awaitRxSlot(core)) {
-            cOverflow_->add(items.size() - accepted);
-            break;
-        }
-        std::uint64_t avail =
-            layout_.slots - (rxProduced_ - rxConsCache_);
-        std::size_t k = items.size() - accepted;
-        k = std::min<std::size_t>(k, avail);
-        // One segment must stay contiguous in the ring: stop at the
-        // wrap boundary and emit the remainder as the next segment.
-        k = std::min<std::size_t>(
-            k, layout_.slots - rxProduced_ % layout_.slots);
-
-        // Claim the whole segment before any suspension point so
-        // concurrent pushers never pick overlapping slots.
-        std::uint64_t firstSlot = rxProduced_;
-        rxProduced_ += k;
-
-        // The scratch records are only read by the encoder below,
-        // before the write suspends, so concurrent pushers can share
-        // them.
-        recs_.clear();
-        std::uint64_t segBytes = 0;
-        for (std::size_t j = 0; j < k; ++j) {
-            const RxItem &it = items[accepted + j];
-            SlotMeta meta;
-            meta.len = static_cast<std::uint32_t>(it.payload.size());
-            meta.tag = it.tag;
-            meta.err = it.err;
-            meta.seq = static_cast<std::uint32_t>(firstSlot + j + 1);
-            recs_.push_back(SlotRecord{it.payload, meta});
-            segBytes += meta.len;
-        }
-        auto [off, buf] = encodeRxBatchSegment(layout_, firstSlot, recs_);
-        // One post, one RDMA write, one trailing doorbell for the
-        // whole segment.
-        cRxWriteOps_->add();
-        if (!co_await pushWrite(core, off, std::move(buf))) {
-            // Retry budget exhausted: the whole claimed segment is a
-            // sequence gap for the repair pass; the unaccepted suffix
-            // is reported back to the caller.
-            for (std::size_t j = 0; j < k; ++j)
-                lostSlots_.push_back(firstSlot + j);
-            cSlotsLost_->add(k);
-            break;
-        }
-        LYNX_TRACE(sim_, "mqueue", name_, ": rx batch seq ",
-                   firstSlot + 1, "..", firstSlot + k, " (", segBytes,
-                   " B payload)");
-        if (sim::SpanCollector *spans = sim_.spans()) {
-            for (std::size_t j = 0; j < k; ++j)
-                spans->stampTag(&qp_.target(), layout_.base,
-                                items[accepted + j].tag,
-                                sim::Stage::MqueueWrite, sim_.now());
-        }
-        cRxCoalesced_->add(k - 1);
-        cRxPushed_->add(k);
-        cRxBytes_->add(segBytes);
-        accepted += k;
-    }
-    co_return accepted;
+    // Separate data and metadata writes (2 ops; RC keeps order).
+    cRxWriteOps_->add(2);
+    if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
+                            {item.payload.begin(), item.payload.end()}))
+        co_return false;
+    std::vector<std::uint8_t> metaBuf(SlotMeta::bytes);
+    auto putU32 = [&](std::size_t off, std::uint32_t v) {
+        metaBuf[off] = static_cast<std::uint8_t>(v);
+        metaBuf[off + 1] = static_cast<std::uint8_t>(v >> 8);
+        metaBuf[off + 2] = static_cast<std::uint8_t>(v >> 16);
+        metaBuf[off + 3] = static_cast<std::uint8_t>(v >> 24);
+    };
+    putU32(0, meta.len);
+    putU32(4, meta.tag);
+    putU32(8, meta.err);
+    putU32(12, meta.seq);
+    co_return co_await pushWrite(core, slotEnd - SlotMeta::bytes,
+                                 std::move(metaBuf));
 }
 
 sim::Co<std::vector<TxMessage>>

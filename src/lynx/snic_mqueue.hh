@@ -143,11 +143,9 @@ class SnicMqueue
     const MqueueLayout &layout() const { return layout_; }
 
     /**
-     * Push one message into the RX ring. Charges post cost(s) on
-     * @p core, refreshes the consumer cache over RDMA if the ring
-     * looks full.
+     * Push one message into the RX ring: an rxPushBatch() of one.
      * @return false if the ring is genuinely full (caller drops —
-     * UDP semantics — or retries).
+     * UDP semantics — or retries) or the write was lost.
      */
     sim::Co<bool> rxPush(sim::Core &core,
                          std::span<const std::uint8_t> payload,
@@ -162,14 +160,18 @@ class SnicMqueue
     };
 
     /**
-     * Push @p items into the RX ring, coalescing contiguous slots into
-     * one RDMA write: one post cost and one trailing doorbell cover
-     * the whole segment. A segment is bounded by @p items, the free
-     * slots and the ring wrap; a one-item call writes the same bytes
-     * at the same time as rxPush(). Write-barrier and split-write
-     * modes degrade to sequential rxPush() calls.
+     * Push @p items into the RX ring, one segment of contiguous slots
+     * per credit check. Charges post cost(s) on @p core and refreshes
+     * the consumer cache over RDMA if the ring looks full. The write
+     * mode picks the segment width and its emission: coalesced mode
+     * writes the whole segment — bounded by @p items, the free slots
+     * and the ring wrap — as one RDMA write with one trailing
+     * doorbell (a one-slot segment is exactly encodeSlotWrite() at
+     * slotWriteOffset()); the write-barrier (3 ops) and split-write
+     * (2 ops) modes write one slot per segment.
      * @return how many messages were accepted (a prefix of @p items;
-     * fewer than items.size() means the ring filled up).
+     * fewer than items.size() means the ring filled up or a write
+     * was lost).
      */
     sim::Co<std::size_t> rxPushBatch(sim::Core &core,
                                      std::span<const RxItem> items);
@@ -334,7 +336,18 @@ class SnicMqueue
     sim::Co<bool> txFetch(sim::Core &core, std::uint64_t bytes);
 
     /**
-     * RX credit gate shared by rxPush() and rxPushBatch(): prefetch
+     * Write @p item into claimed RX slot @p slot as separate ops: the
+     * §5.1 barrier sequence (data, blocking read, doorbell) with
+     * `writeBarrier`, else data then metadata. The modes without a
+     * coalesced image write one slot per segment this way.
+     * @return false when the retry budget is exhausted (the caller
+     * records the lost slot; transportDead() may be set).
+     */
+    sim::Co<bool> writeSplitSlot(sim::Core &core, std::uint64_t slot,
+                                 const RxItem &item);
+
+    /**
+     * RX credit gate of rxPushBatch(): prefetch
      * the consumer register once the ring looks half full, refresh it
      * when the ring looks full, and with PFC pause until it drains.
      * @return true once a slot is free; false on overflow (counted in

@@ -176,8 +176,8 @@ runFig8bScale(const GoldenKnobs &knobs)
 
     apps::LenetServiceConfig sb;
     if (knobs.batching) {
-        sb.maxBatch = 4;
-        sb.batchLinger = 2_us;
+        sb.batch.maxBatch = 4;
+        sb.batch.linger = 2_us;
     }
     std::vector<std::unique_ptr<core::AccelQueue>> queues;
     accel::Gpu *gpus[] = {&gpu0, &gpu1, &gpu2};

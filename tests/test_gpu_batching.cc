@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/gpu.hh"
@@ -144,16 +145,25 @@ TEST(GpuBatching, LenetForwardBatchBitIdenticalToScalarForward)
                                             static_cast<std::uint64_t>(i)));
     std::vector<std::span<const std::uint8_t>> spans(imgs.begin(),
                                                      imgs.end());
-    auto batched = net.forwardBatch(spans);
-    ASSERT_EQ(batched.size(), imgs.size());
-    for (std::size_t i = 0; i < imgs.size(); ++i) {
-        auto scalar = net.forward(imgs[i]);
-        // Bit-exact: the batched loops preserve the per-image float
-        // accumulation order.
-        EXPECT_EQ(std::memcmp(batched[i].data(), scalar.data(),
-                              sizeof scalar),
-                  0)
-            << "image " << i;
+    // Every batch size from 1 to 13, so both sides of minKernelBatch
+    // (a loop of forward() below it, the batched kernels from it on)
+    // are checked.
+    static_assert(apps::LeNet::minKernelBatch > 1 &&
+                  apps::LeNet::minKernelBatch <= 13);
+    for (std::size_t n = 1; n <= imgs.size(); ++n) {
+        auto batched = net.forwardBatch(
+            std::span<const std::span<const std::uint8_t>>(spans).first(
+                n));
+        ASSERT_EQ(batched.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            auto scalar = net.forward(imgs[i]);
+            // Bit-exact: the batched loops preserve the per-image
+            // float accumulation order.
+            EXPECT_EQ(std::memcmp(batched[i].data(), scalar.data(),
+                                  sizeof scalar),
+                      0)
+                << "batch " << n << " image " << i;
+        }
     }
     auto digits = net.classifyBatch(spans);
     for (std::size_t i = 0; i < imgs.size(); ++i)
@@ -298,6 +308,51 @@ TEST(GpuBatching, SendBatchFidelityAcrossWrapAndFlowControl)
         EXPECT_EQ(popped[i].tag, i);
     }
     EXPECT_GT(gio.stats().counterValue("batch.sends"), 0u);
+    EXPECT_EQ(gio.stats().counterValue("batch.send_msgs"), msgs.size());
+}
+
+/** A batch of one is a batch: send() is a one-item sendBatch(), and
+ *  each commit writes exactly encodeSlotWrite()'s bytes at
+ *  slotWriteOffset() — the seed's single-slot TX image. */
+TEST(GpuBatching, OneItemSendBatchWritesTheSingleSlotImage)
+{
+    Rig r;
+    AccelQueue gio(r.s, "gio", r.mem, r.layout);
+
+    sim::Rng rng(41);
+    std::vector<std::vector<std::uint8_t>> msgs;
+    for (std::uint32_t i = 0; i < r.layout.slots; ++i)
+        msgs.push_back(randomPayload(rng, r.layout.maxPayload()));
+
+    auto accelSend = [&]() -> sim::Task {
+        for (std::size_t i = 0; i < msgs.size(); ++i) {
+            auto tag = static_cast<std::uint32_t>(100 + i);
+            auto err = static_cast<std::uint32_t>(i % 2);
+            if (i % 2 == 0) {
+                co_await gio.send(tag, msgs[i], err);
+            } else {
+                GioTxItem item{tag, msgs[i], err};
+                co_await gio.sendBatch({&item, 1});
+            }
+        }
+    };
+    sim::spawn(r.s, accelSend());
+    r.s.run();
+
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+        core::SlotMeta meta;
+        meta.len = static_cast<std::uint32_t>(msgs[i].size());
+        meta.tag = static_cast<std::uint32_t>(100 + i);
+        meta.err = static_cast<std::uint32_t>(i % 2);
+        meta.seq = static_cast<std::uint32_t>(i + 1);
+        std::vector<std::uint8_t> want =
+            core::encodeSlotWrite(msgs[i], meta);
+        std::vector<std::uint8_t> got(want.size());
+        r.mem.read(core::slotWriteOffset(r.layout.txSlotEnd(i), meta.len),
+                   std::span<std::uint8_t>(got));
+        EXPECT_EQ(got, want) << "slot " << i;
+    }
+    EXPECT_EQ(gio.stats().counterValue("batch.sends"), msgs.size());
     EXPECT_EQ(gio.stats().counterValue("batch.send_msgs"), msgs.size());
 }
 
@@ -469,8 +524,8 @@ TEST(GpuBatching, DefaultsReproduceSeedLenetTimestampsExactly)
 TEST(GpuBatching, BatchingOnServesLoneRequestsAtSeedTimestamps)
 {
     apps::LenetServiceConfig lcfg;
-    lcfg.maxBatch = 8;
-    lcfg.batchLinger = 100_us;
+    lcfg.batch.maxBatch = 8;
+    lcfg.batch.linger = 100_us;
     std::vector<sim::Tick> stamps;
     std::vector<int> digits;
     runSerialLenet(lcfg, stamps, digits);
@@ -503,8 +558,8 @@ TEST(GpuBatching, BatchedLenetServiceAnswersByteForByte)
     auto &svc = rt.addService(scfg);
     auto queues = rt.makeAccelQueues(svc, accel);
     apps::LenetServiceConfig lcfg;
-    lcfg.maxBatch = 8;
-    lcfg.batchLinger = 20_us;
+    lcfg.batch.maxBatch = 8;
+    lcfg.batch.linger = 20_us;
     sim::spawn(s, apps::runLenetServer(gpu, *queues[0], model, lcfg));
     rt.start();
 
@@ -559,7 +614,7 @@ TEST(GpuBatching, MalformedRequestInsideBatchAnsweredIndividually)
     SnicMqueue mq(s, "mq", r.qp, r.layout, MqueueKind::Server, {});
     AccelQueue gio(s, "gio", r.mem, r.layout);
     apps::LenetServiceConfig lcfg;
-    lcfg.maxBatch = 4;
+    lcfg.batch.maxBatch = 4;
     sim::spawn(s, apps::runLenetServer(gpu, gio, model, lcfg));
 
     auto good0 = workload::synthMnist(7, 1);
@@ -603,6 +658,37 @@ TEST(GpuBatching, MalformedRequestInsideBatchAnsweredIndividually)
 
 namespace {
 
+constexpr int kFaceClients = 4;
+constexpr int kFacePerClient = 6;
+
+/** The enrolled database: one reference face per person 0..7. */
+apps::KvStore
+faceDb()
+{
+    apps::KvStore db;
+    for (std::uint32_t person = 0; person < 8; ++person)
+        db.set(workload::faceLabel(person),
+               workload::synthFace(person, 0));
+    return db;
+}
+
+/** Request @p i of client @p c: genuine and impostor probes, plus one
+ *  unknown label per client. */
+std::vector<std::uint8_t>
+faceRequest(int c, int i)
+{
+    std::uint32_t claim = static_cast<std::uint32_t>((c + i) % 8);
+    bool genuine = i % 3 != 2;
+    std::uint32_t probe = genuine ? claim : (claim + 3) % 8;
+    std::string label = (i == 4) ? std::string("nobody-here!")
+                                 : workload::faceLabel(claim);
+    auto img =
+        workload::synthFace(probe, 1 + static_cast<std::uint64_t>(i));
+    std::vector<std::uint8_t> req(label.begin(), label.end());
+    req.insert(req.end(), img.begin(), img.end());
+    return req;
+}
+
 /** Run the two-tier face-verification world and return the response
  *  byte of every (client, request) cell. */
 std::vector<std::uint8_t>
@@ -616,10 +702,7 @@ runFaceVer(apps::ServiceBatchConfig batch, std::uint64_t *batchRecvs)
     pcie::Fabric fabric(s, "pcie");
     accel::Gpu gpu(s, "gpu", fabric);
 
-    apps::KvStore db;
-    for (std::uint32_t person = 0; person < 8; ++person)
-        db.set(workload::faceLabel(person),
-               workload::synthFace(person, 0));
+    apps::KvStore db = faceDb();
     apps::KvServerConfig kvCfg;
     kvCfg.nic = &dbHost.nic();
     kvCfg.proto = net::Protocol::Tcp;
@@ -646,37 +729,25 @@ runFaceVer(apps::ServiceBatchConfig batch, std::uint64_t *batchRecvs)
                                          batch));
     rt.start();
 
-    constexpr int kClients = 4;
-    constexpr int kPerClient = 6;
     std::vector<std::uint8_t> answers(
-        static_cast<std::size_t>(kClients * kPerClient), 0xee);
+        static_cast<std::size_t>(kFaceClients * kFacePerClient), 0xee);
     auto clientTask = [&](int c) -> sim::Task {
         std::uint16_t port = static_cast<std::uint16_t>(42000 + c);
         net::Endpoint &ep = clientNic.bind(net::Protocol::Udp, port);
-        for (int i = 0; i < kPerClient; ++i) {
-            std::uint32_t claim =
-                static_cast<std::uint32_t>((c + i) % 8);
-            bool genuine = i % 3 != 2;
-            std::uint32_t probe = genuine ? claim : (claim + 3) % 8;
-            std::string label = (i == 4)
-                                    ? std::string("nobody-here!")
-                                    : workload::faceLabel(claim);
-            auto img = workload::synthFace(
-                probe, 1 + static_cast<std::uint64_t>(i));
+        for (int i = 0; i < kFacePerClient; ++i) {
             net::Message m;
             m.src = {clientNic.node(), port};
             m.dst = {bf.node(), 7100};
             m.proto = net::Protocol::Udp;
-            m.payload.assign(label.begin(), label.end());
-            m.payload.insert(m.payload.end(), img.begin(), img.end());
+            m.payload = faceRequest(c, i);
             co_await clientNic.send(std::move(m));
             net::Message r = co_await ep.recv();
             EXPECT_EQ(r.payload.size(), 1u);
-            answers[static_cast<std::size_t>(c * kPerClient + i)] =
+            answers[static_cast<std::size_t>(c * kFacePerClient + i)] =
                 r.payload.empty() ? 0xee : r.payload[0];
         }
     };
-    for (int c = 0; c < kClients; ++c)
+    for (int c = 0; c < kFaceClients; ++c)
         sim::spawn(s, clientTask(c));
     s.runUntil(300_ms);
 
@@ -688,18 +759,31 @@ runFaceVer(apps::ServiceBatchConfig batch, std::uint64_t *batchRecvs)
 
 } // namespace
 
-/** The batched worker (batched GETs via dbQ sendBatch, one batched
- *  LBP kernel, batched replies) answers every request with exactly
- *  the bytes the unbatched worker produces. */
+/** The worker (batched GETs via dbQ sendBatch, one batched LBP
+ *  kernel, batched replies) answers every request with faceVerDecide()
+ *  on the request and its enrolled image, at batch 4 and at batch 1
+ *  alike. */
 TEST(GpuBatching, BatchedFaceVerMatchesUnbatchedByteForByte)
 {
+    apps::KvStore db = faceDb();
+    std::vector<std::uint8_t> expected;
+    for (int c = 0; c < kFaceClients; ++c) {
+        for (int i = 0; i < kFacePerClient; ++i) {
+            std::vector<std::uint8_t> req = faceRequest(c, i);
+            std::string label(req.begin(),
+                              req.begin() + apps::faceVerLabelBytes);
+            expected.push_back(static_cast<std::uint8_t>(
+                apps::faceVerDecide(req, db.get(label))));
+        }
+    }
     std::vector<std::uint8_t> unbatched = runFaceVer({}, nullptr);
     std::uint64_t recvs = 0;
     apps::ServiceBatchConfig bcfg;
     bcfg.maxBatch = 4;
     bcfg.linger = 20_us;
     std::vector<std::uint8_t> batched = runFaceVer(bcfg, &recvs);
-    EXPECT_EQ(batched, unbatched);
+    EXPECT_EQ(unbatched, expected);
+    EXPECT_EQ(batched, expected);
     EXPECT_GT(recvs, 0u);
     // Every outcome class must actually occur in the pattern.
     auto count = [&](apps::FaceVerResult v) {
@@ -709,4 +793,48 @@ TEST(GpuBatching, BatchedFaceVerMatchesUnbatchedByteForByte)
     EXPECT_GT(count(apps::FaceVerResult::Match), 0);
     EXPECT_GT(count(apps::FaceVerResult::NoMatch), 0);
     EXPECT_GT(count(apps::FaceVerResult::UnknownLabel), 0);
+}
+
+/** Every service rejects a batch cap below one at entry: 0 would
+ *  reach recvBatch(0) and a negative cap a huge reserve. */
+TEST(GpuBatchingDeathTest, ServicesRejectNonPositiveMaxBatch)
+{
+    auto runEcho = [](int maxBatch) {
+        Rig r;
+        pcie::Fabric fabric(r.s, "pcie");
+        accel::Gpu gpu(r.s, "gpu", fabric);
+        AccelQueue gio(r.s, "gio", r.mem, r.layout);
+        apps::ServiceBatchConfig b;
+        b.maxBatch = maxBatch;
+        sim::spawn(r.s, apps::runEchoBlock(gpu, gio, 0, 0, b));
+        r.s.run();
+    };
+    auto runLenet = [](int maxBatch) {
+        Rig r;
+        pcie::Fabric fabric(r.s, "pcie");
+        accel::Gpu gpu(r.s, "gpu", fabric);
+        AccelQueue gio(r.s, "gio", r.mem, r.layout);
+        apps::LeNet net;
+        apps::LenetServiceConfig cfg;
+        cfg.batch.maxBatch = maxBatch;
+        sim::spawn(r.s, apps::runLenetServer(gpu, gio, net, cfg));
+        r.s.run();
+    };
+    auto runFace = [](int maxBatch) {
+        Rig r;
+        pcie::Fabric fabric(r.s, "pcie");
+        accel::Gpu gpu(r.s, "gpu", fabric);
+        AccelQueue serverQ(r.s, "server", r.mem, r.layout);
+        AccelQueue dbQ(r.s, "db", r.mem,
+                       MqueueLayout{r.layout.totalBytes(), 8, 256});
+        apps::ServiceBatchConfig b;
+        b.maxBatch = maxBatch;
+        sim::spawn(r.s, apps::runFaceVerWorker(gpu, serverQ, dbQ, b));
+        r.s.run();
+    };
+    for (int bad : {0, -3}) {
+        EXPECT_DEATH(runEcho(bad), "maxBatch must be >= 1");
+        EXPECT_DEATH(runLenet(bad), "maxBatch must be >= 1");
+        EXPECT_DEATH(runFace(bad), "maxBatch must be >= 1");
+    }
 }

@@ -192,9 +192,10 @@ struct GoldenResult
 
 /** The golden seed scenario of test_lynx_batching.cc: five
  *  sequential 64 B echoes through the default Lynx-on-host runtime,
- *  with or without a SpanCollector installed. */
+ *  with or without a SpanCollector installed, optionally with gio's
+ *  whole-ring receive sweeps (rxBurst). */
 GoldenResult
-runGoldenEcho(bool withCollector)
+runGoldenEcho(bool withCollector, bool rxBurst = false)
 {
     GoldenResult result;
     sim::Simulator s;
@@ -212,6 +213,7 @@ runGoldenEcho(bool withCollector)
     std::vector<sim::Core *> cores{&server.cores()[0]};
     core::RuntimeConfig cfg =
         snic::hostRuntimeConfig(cores, server.nic());
+    cfg.gio.rxBurst = rxBurst;
     core::Runtime rt(s, cfg);
     auto &accel = rt.addAccelerator("gpu", gpu.memory(),
                                     rdma::RdmaPathModel{});
@@ -268,6 +270,21 @@ const std::vector<sim::Tick> kSeedStamps{11763, 23526, 35289, 47052,
                                          58815};
 
 } // namespace
+
+/** Whole-ring receive sweeps hand out every message through the
+ *  same path, the first of each sweep included, so each finished span
+ *  carries its AppStart stamp. */
+TEST(SpanGolden, RxBurstStampsAppStartOnEverySpan)
+{
+    GoldenResult r = runGoldenEcho(true, /*rxBurst=*/true);
+    EXPECT_EQ(r.stamps, kSeedStamps);
+    EXPECT_EQ(r.finished, 5u);
+    ASSERT_EQ(r.spans.size(), 5u);
+    for (const sim::RequestSpan &span : r.spans)
+        EXPECT_TRUE(span.stamped(Stage::AppStart)) << "span " << span.id;
+    EXPECT_EQ(r.stageCount[static_cast<std::size_t>(Stage::AppStart)],
+              r.finished);
+}
 
 /** Stamping disabled (no collector): the seed's golden timestamps. */
 TEST(SpanGolden, NoCollectorReproducesSeedTimestamps)
