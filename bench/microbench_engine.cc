@@ -206,6 +206,8 @@ BM_DeviceMemoryNotify(benchmark::State &state)
 }
 BENCHMARK(BM_DeviceMemoryNotify)->Arg(3)->Arg(720);
 
+/** Encode one slot, write it into device memory and decode its
+ *  metadata the way gio and the SNIC do (readSlotMeta). */
 void
 BM_MqueueCodecRoundTrip(benchmark::State &state)
 {
@@ -214,9 +216,14 @@ BM_MqueueCodecRoundTrip(benchmark::State &state)
     core::SlotMeta meta;
     meta.len = static_cast<std::uint32_t>(payload.size());
     meta.seq = 7;
+    core::MqueueLayout l{0, 4, 2048};
+    pcie::DeviceMemory mem("m", l.totalBytes());
+    const std::uint64_t slotEnd = l.rxSlotEnd(0);
     for (auto _ : state) {
         auto buf = core::encodeSlotWrite(payload, meta);
-        auto got = core::parseSlotMeta(buf);
+        mem.write(core::slotWriteOffset(slotEnd, meta.len), buf);
+        benchmark::ClobberMemory();
+        auto got = core::readSlotMeta(mem, slotEnd);
         benchmark::DoNotOptimize(got.seq);
     }
     state.SetBytesProcessed(state.iterations() * state.range(0));
@@ -522,8 +529,11 @@ constexpr double kMinSpeedup = 5.0;
 int
 runHeadline(bool fast, lynxbench::BenchJson &json)
 {
-    const std::uint64_t budget = fast ? 300'000 : 3'000'000;
-    const int pairs = fast ? 7 : 9;
+    // On a shared host, short pairs let noise pull the median ratio
+    // below the floor; 9 pairs of 1 M events keep --fast a few
+    // seconds long.
+    const std::uint64_t budget = fast ? 1'000'000 : 3'000'000;
+    const int pairs = 9;
 
     // Warm the payload/slab pools once so the measured runs see the
     // steady state (a long simulation's, not a cold process's).
@@ -790,8 +800,11 @@ main(int argc, char **argv)
     int rc;
     {
         lynxbench::BenchJson json("engine");
-        rc = runHeadline(fast, json);
-        rc |= runShardedHeadline(fast, json);
+        // The sharded rows run first: measured right after the
+        // seconds-long single-thread headline, their 2- and 4-worker
+        // speedups dropped by up to a third on a shared 4-vCPU host.
+        rc = runShardedHeadline(fast, json);
+        rc |= runHeadline(fast, json);
         json.write();
     }
     if (fast)

@@ -56,9 +56,6 @@ struct GpuConfig
     /** BAR-exposed device memory size. */
     std::uint64_t memBytes = 16ull << 20;
 
-    /** Device-side local memory access latency (mqueue polling). */
-    sim::Tick localMemLatency = sim::nanoseconds(200);
-
     /** Per-child overhead of a device-side (dynamic parallelism)
      *  kernel launch. */
     sim::Tick deviceLaunchOverhead = sim::nanoseconds(1500);
@@ -222,13 +219,6 @@ class Gpu
     sim::Co<void> batchedLaunch(int blocks, sim::Tick perItem, int n,
                                 std::function<void()> body = {});
 
-    /** Await one device-local memory access (poll latency). */
-    sim::Co<void>
-    localMemAccess()
-    {
-        co_await sim::sleep(cfg_.localMemLatency);
-    }
-
     /** Kernel/occupancy statistics. */
     sim::StatSet &stats() { return stats_; }
 
@@ -279,9 +269,6 @@ class GpuDriver
      * (no driver lock: it is a plain mapped-memory access).
      */
     sim::Co<void> gdrAccess(sim::Core &core, std::uint64_t bytes);
-
-    /** @return the lock-holder count (for tests). */
-    bool lockBusy() const { return lock_.available() == 0; }
 
     sim::StatSet &stats() { return stats_; }
 

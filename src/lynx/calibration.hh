@@ -3,8 +3,9 @@
  * Calibration constants: every timing parameter of the reproduction
  * lives here, each justified by a measurement the paper itself
  * reports. Benchmarks and scenario builders reference these
- * constants; model code receives them through config structs and
- * never hard-codes timing.
+ * constants; model code receives them through config structs, or
+ * reads a value no caller tunes straight from here, and never
+ * hard-codes timing.
  *
  * The reproduction targets the paper's *shape* (who wins, by what
  * factor, where crossovers fall) rather than absolute testbed

@@ -18,6 +18,7 @@
 #ifndef LYNX_LYNX_DISPATCHER_HH
 #define LYNX_LYNX_DISPATCHER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -125,12 +126,6 @@ class Dispatcher
         LYNX_ASSERT(cfg_.maxBatch >= 1, name_, ": maxBatch must be >= 1");
     }
 
-    Dispatcher(std::string name, DispatchPolicy policy,
-               sim::Tick dispatchCpu)
-        : Dispatcher(std::move(name), policy,
-                     DispatcherConfig{.dispatchCpu = dispatchCpu})
-    {}
-
     Dispatcher(const Dispatcher &) = delete;
     Dispatcher &operator=(const Dispatcher &) = delete;
 
@@ -163,9 +158,6 @@ class Dispatcher
 
     /** @return whether @p qi is excluded from dispatch. */
     bool queueDead(std::size_t qi) const { return dead_[qi] != 0; }
-
-    /** @return whether in-flight payloads are retained (failover). */
-    bool retainsPayloads() const { return cfg_.retainPayloads; }
 
     /**
      * Dispatch @p msg: pick an mqueue, allocate a response tag for
@@ -373,13 +365,6 @@ class Dispatcher
     /** @return total messages across all class queues. */
     std::size_t tenantPending() const { return tenantPendingTotal_; }
 
-    /** @return queued messages of one tenant's class. */
-    std::size_t
-    tenantPendingOf(TenantId t) const
-    {
-        return t < classes_.size() ? classes_[t].size() : 0;
-    }
-
     /** Called (if set) whenever the dispatcher leaves work deferred
      *  in a class queue — the Runtime's drain task wakes on it. */
     void
@@ -392,25 +377,32 @@ class Dispatcher
      * Drain the class queues: repeatedly WRR-pick an eligible
      * tenant (non-empty class, below its mqueue quota), place its
      * oldest message. Stops when nothing is eligible, the tag table
-     * fills, or a ring rejects the push (the message returns to the
-     * head of its class; freed capacity re-triggers via the
-     * backlog hook / TenantTable capacity hooks).
+     * fills, or a ring rejects the push (the message returns to its
+     * class; freed capacity re-triggers via the backlog hook /
+     * TenantTable capacity hooks). Several pumps may
+     * run at once (one per listener core plus the Runtime's drain
+     * task); each refunds only its own unserved turn and parks its
+     * message back in arrival order, so pumps that fail on the same
+     * full ring leave the state they would leave one after another.
      */
     sim::Co<void>
     pumpTenants(sim::Core &core)
     {
         if (!cfg_.tenants || tenantPendingTotal_ == 0)
             co_return;
+        WrrPicker::Turn turn;
         for (;;) {
             std::size_t t = wrr_.pick(
-                classes_.size(), [&](std::size_t i) -> std::int64_t {
+                classes_.size(),
+                [&](std::size_t i) -> std::int64_t {
                     if (classes_[i].empty())
                         return 0;
                     TenantId id = static_cast<TenantId>(i);
                     if (!cfg_.tenants->belowTagQuota(id))
                         return 0;
                     return cfg_.tenants->weight(id);
-                });
+                },
+                turn);
             if (t == WrrPicker::kNone)
                 co_return;
             Pending p = std::move(classes_[t].front());
@@ -425,14 +417,12 @@ class Dispatcher
             SnicMqueue &mq = *queues_[qi];
             auto tag = mq.allocTag(p.client);
             if (!tag) {
-                // Tag table full: park at the head of the class (its
-                // FIFO order is preserved) until a release frees one.
+                // Tag table full: park until a release frees one.
                 // The turn served nothing — refund it, or the retry
                 // cadence aliases against the weight pattern and can
                 // starve a class (WrrPicker::unpick).
-                classes_[t].push_front(std::move(p));
-                ++tenantPendingTotal_;
-                wrr_.unpick();
+                park(t, std::move(p));
+                wrr_.unpick(turn);
                 co_return;
             }
             if (co_await mq.rxPush(core, p.payload, *tag)) {
@@ -447,9 +437,8 @@ class Dispatcher
             // Ring genuinely full: park; consumption + tag release
             // will reopen capacity. Unserved turn — refund it (see
             // the allocTag park above).
-            classes_[t].push_front(std::move(p));
-            ++tenantPendingTotal_;
-            wrr_.unpick();
+            park(t, std::move(p));
+            wrr_.unpick(turn);
             co_return;
         }
     }
@@ -470,12 +459,28 @@ class Dispatcher
         std::vector<SnicMqueue::RxItem> items;
     };
 
-    /** One admitted-but-not-yet-placed tenant request. */
+    /** One admitted-but-not-yet-placed tenant request; `arrival`
+     *  orders its class queue. */
     struct Pending
     {
         net::Payload payload;
         ClientRef client;
+        std::uint64_t arrival = 0;
     };
+
+    /** Return @p p, whose turn served nothing, to class @p t in
+     *  arrival order: while its pump was suspended, another pump may
+     *  have parked a later message of the same class first. */
+    void
+    park(std::size_t t, Pending p)
+    {
+        std::deque<Pending> &q = classes_[t];
+        auto at = std::find_if(q.begin(), q.end(), [&](const Pending &o) {
+            return o.arrival > p.arrival;
+        });
+        q.insert(at, std::move(p));
+        ++tenantPendingTotal_;
+    }
 
     sim::Co<void>
     dispatchTenant(sim::Core &core, net::Message msg)
@@ -494,7 +499,7 @@ class Dispatcher
         }
         if (classes_.size() < cfg_.tenants->idSpan())
             classes_.resize(cfg_.tenants->idSpan());
-        Pending p{{}, clientOf(msg)};
+        Pending p{{}, clientOf(msg), tenantArrivals_++};
         p.payload = std::move(msg.payload);
         p.client.tenantGen = cfg_.tenants->generation(t);
         classes_[t].push_back(std::move(p));
@@ -676,6 +681,7 @@ class Dispatcher
      *  unused); sized lazily against the TenantTable's id span. */
     std::vector<std::deque<Pending>> classes_;
     std::size_t tenantPendingTotal_ = 0;
+    std::uint64_t tenantArrivals_ = 0;
     WrrPicker wrr_;
     std::function<void()> backlogHook_;
 

@@ -6,22 +6,27 @@
  * healthy. This module adds the recovery half of the fault-injection
  * extension: a HealthMonitor per service that
  *
- *  - sweeps every dispatch target each `checkInterval`, counting a
- *    *strike* whenever a queue has requests in flight but its TX ring
- *    made no progress since the previous sweep;
- *  - declares a queue dead after `deadStrikes` consecutive strikes —
- *    or immediately when a ring access exhausted its software retry
- *    budget (SnicMqueue::transportDead) — and fails it over: the
- *    dispatcher stops routing to it and its in-flight requests are
- *    drained and re-queued to surviving mqueues (payload retention);
- *  - probes dead queues every `probeInterval`: first repairing the
- *    sequence gaps left by lost RX writes (kSlotSkipErr markers),
- *    then reading the consumer register, and reviving the queue once
- *    it is reachable again and has drained its backlog.
+ *  - sweeps every dispatch target each `failoverCheckInterval`
+ *    (1 ms), counting a *strike* whenever a queue has requests in
+ *    flight but its TX ring made no progress since the previous
+ *    sweep;
+ *  - declares a queue dead after `failoverDeadStrikes` (3)
+ *    consecutive strikes — or immediately when a ring access
+ *    exhausted its software retry budget (SnicMqueue::transportDead)
+ *    — and fails it over: the dispatcher stops routing to it and its
+ *    in-flight requests are drained and re-queued to surviving
+ *    mqueues (payload retention);
+ *  - probes dead queues every `failoverProbeInterval` (5 ms): first
+ *    repairing the sequence gaps left by lost RX writes
+ *    (kSlotSkipErr markers), then reading the consumer register, and
+ *    reviving the queue once it is reachable again and has drained
+ *    its backlog.
+ *
+ * The three periods are constants in lynx/calibration.hh.
  *
  * State machine per queue:
  *
- *   healthy --(strikes==deadStrikes | transportDead)--> dead
+ *   healthy --(strikes==failoverDeadStrikes | transportDead)--> dead
  *   dead    --(repairGaps ok && probeAlive ok && backlog==0)--> healthy
  *
  * Clients never see a corrupt payload from any of this: re-queued
@@ -38,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "lynx/calibration.hh"
 #include "lynx/dispatcher.hh"
 #include "lynx/snic_mqueue.hh"
 #include "sim/processor.hh"
@@ -48,24 +54,14 @@
 
 namespace lynx::core {
 
-/** Failover knobs. Disabled by default: the seed configuration runs
- *  no monitor task and is bit-identical. Calibrated values live in
- *  lynx/calibration.hh. */
+/** Failover switch. Disabled by default: the seed configuration runs
+ *  no monitor task and is bit-identical. The monitor's periods are
+ *  the calibration::failover* constants. */
 struct FailoverConfig
 {
     /** Master switch: spawn a HealthMonitor per service, retain
      *  in-flight payloads, tolerate stale tags. */
     bool enabled = false;
-
-    /** Sweep period of the health check. */
-    sim::Tick checkInterval = sim::milliseconds(1);
-
-    /** Consecutive no-progress sweeps (with work in flight) before a
-     *  queue is declared dead. */
-    int deadStrikes = 3;
-
-    /** Probe period for dead queues (gap repair + liveness read). */
-    sim::Tick probeInterval = sim::milliseconds(5);
 };
 
 /** Watches one service's mqueues; kills, drains and revives them. */
@@ -73,10 +69,9 @@ class HealthMonitor
 {
   public:
     HealthMonitor(sim::Simulator &sim, std::string name,
-                  Dispatcher &dispatcher, sim::Core &core,
-                  FailoverConfig cfg)
+                  Dispatcher &dispatcher, sim::Core &core)
         : sim_(sim), name_(std::move(name)), dispatcher_(dispatcher),
-          core_(core), cfg_(cfg),
+          core_(core),
           cDied_(&stats_.counter("mqueues_died")),
           cRevived_(&stats_.counter("mqueues_revived")),
           cRequeued_(&stats_.counter("requests_requeued")),
@@ -112,7 +107,7 @@ class HealthMonitor
     run()
     {
         for (;;) {
-            co_await sim::sleep(cfg_.checkInterval);
+            co_await sim::sleep(calibration::failoverCheckInterval);
             // The dispatcher's queue list only grows (setup-time
             // registration); late services are picked up lazily.
             while (states_.size() < dispatcher_.queueCount())
@@ -148,7 +143,7 @@ class HealthMonitor
         if (mq.tagsInFlight() > 0 && popped == st.lastTxPopped) {
             ++st.strikes;
             cStrikes_->add();
-            if (st.strikes >= cfg_.deadStrikes)
+            if (st.strikes >= calibration::failoverDeadStrikes)
                 co_await kill(qi);
         } else {
             st.strikes = 0;
@@ -176,7 +171,8 @@ class HealthMonitor
     probe(std::size_t qi)
     {
         QState &st = states_[qi];
-        if (sim_.now() - st.lastProbe < cfg_.probeInterval)
+        if (sim_.now() - st.lastProbe <
+            calibration::failoverProbeInterval)
             co_return;
         st.lastProbe = sim_.now();
         cProbes_->add();
@@ -208,7 +204,6 @@ class HealthMonitor
     std::string name_;
     Dispatcher &dispatcher_;
     sim::Core &core_;
-    FailoverConfig cfg_;
     std::vector<QState> states_;
     bool started_ = false;
     sim::StatSet stats_;

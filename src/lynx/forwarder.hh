@@ -7,7 +7,9 @@
  * One Forwarder drives all the mqueues of one accelerator (they
  * share one RC QP, §5.1) on one SNIC core, round-robin. For server
  * mqueues the destination is the client recorded in the tag table;
- * for client mqueues it is the queue's fixed backend (§4.3).
+ * for client mqueues it is the queue's fixed backend (§4.3). Each
+ * fetched TX batch is forwarded in ring order: tenant weights act at
+ * dispatch only (lynx/dispatcher.hh).
  */
 
 #ifndef LYNX_LYNX_FORWARDER_HH
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "lynx/calibration.hh"
 #include "lynx/snic_mqueue.hh"
 #include "lynx/tenant.hh"
 #include "net/nic.hh"
@@ -65,11 +68,10 @@ struct ForwarderConfig
 
     /** Scale the discovery delay with observed idleness instead of
      *  the fixed pollDiscovery: a queue that just went quiet is
-     *  re-polled after pollBackoffMin, a long-idle one after
-     *  pollBackoffMax (delay = clamp(idle/2, min, max)). */
+     *  re-polled after calibration::snicPollBackoffMin, a long-idle
+     *  one after calibration::snicPollBackoffMax (delay =
+     *  clamp(idle/2, min, max)). */
     bool adaptivePoll = false;
-    sim::Tick pollBackoffMin = sim::nanoseconds(100);
-    sim::Tick pollBackoffMax = sim::nanoseconds(1000);
 
     /** Drop (and count) responses whose tag no longer matches a
      *  live allocation instead of treating them as a fatal protocol
@@ -79,9 +81,8 @@ struct ForwarderConfig
     bool tolerateStaleTags = false;
 
     /** Tenant table (lynx/tenant.hh). Non-null adds the forward-path
-     *  half of the virtualization: batched TX drains are re-ordered
-     *  into weighted-round-robin traffic classes, responses record
-     *  per-tenant latency, and a retired tenant's responses are
+     *  half of the virtualization: responses record per-tenant
+     *  latency, and a retired tenant's responses are
      *  dropped-and-counted (tag-namespace generation check) instead
      *  of delivered stale. Null (default) = seed behaviour. */
     TenantTable *tenants = nullptr;
@@ -185,9 +186,6 @@ class Forwarder
                         break;
                     progress = true;
                     cBatchFetches_->add();
-                    if (cfg_.tenants && batch.size() > 1 &&
-                        e.mq->kind() == MqueueKind::Server)
-                        orderByTenantClass(*e.mq, batch);
                     for (auto &txm : batch)
                         co_await forwardOne(e, std::move(txm));
                 }
@@ -211,59 +209,6 @@ class Forwarder
         }
     }
 
-    /**
-     * Re-order a fetched TX batch into WRR traffic classes: pick
-     * tenants by weight (credit carried across batches in fwdWrr_,
-     * so fairness holds over time, not just within one fetch) and
-     * take each tenant's slots in their original FIFO order.
-     * Untenanted slots ride in class 0 with weight 1. Pure
-     * re-ordering — every slot is still forwarded (work-conserving),
-     * only the egress order changes.
-     */
-    void
-    orderByTenantClass(SnicMqueue &mq, std::vector<TxMessage> &batch)
-    {
-        scratchTenant_.clear();
-        bool mixed = false;
-        for (const TxMessage &txm : batch) {
-            const ClientRef *c = mq.peekTag(txm.tag);
-            TenantId t = c ? c->tenant : 0;
-            if (!scratchTenant_.empty() && t != scratchTenant_.back())
-                mixed = true;
-            scratchTenant_.push_back(t);
-        }
-        if (!mixed)
-            return; // single class: order already correct
-        std::size_t span = 0;
-        for (TenantId t : scratchTenant_)
-            span = std::max<std::size_t>(span, t + 1);
-        scratchOrder_.clear();
-        scratchTaken_.assign(batch.size(), 0);
-        for (std::size_t n = 0; n < batch.size(); ++n) {
-            std::size_t t = fwdWrr_.pick(
-                span, [&](std::size_t cls) -> std::int64_t {
-                    for (std::size_t i = 0; i < batch.size(); ++i)
-                        if (!scratchTaken_[i] &&
-                            scratchTenant_[i] == cls)
-                            return cfg_.tenants->weight(
-                                static_cast<TenantId>(cls));
-                    return 0;
-                });
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                if (!scratchTaken_[i] && scratchTenant_[i] == t) {
-                    scratchTaken_[i] = 1;
-                    scratchOrder_.push_back(i);
-                    break;
-                }
-            }
-        }
-        std::vector<TxMessage> reordered;
-        reordered.reserve(batch.size());
-        for (std::size_t i : scratchOrder_)
-            reordered.push_back(std::move(batch[i]));
-        batch = std::move(reordered);
-    }
-
     /** Doorbell-to-discovery delay for the next poll round. */
     sim::Tick
     discoveryDelay(sim::Tick lastProgress) const
@@ -271,8 +216,8 @@ class Forwarder
         if (!cfg_.adaptivePoll)
             return cfg_.pollDiscovery;
         sim::Tick idle = sim_.now() - lastProgress;
-        return std::clamp(idle / 2, cfg_.pollBackoffMin,
-                          cfg_.pollBackoffMax);
+        return std::clamp(idle / 2, calibration::snicPollBackoffMin,
+                          calibration::snicPollBackoffMax);
     }
 
     sim::Co<void>
@@ -349,12 +294,6 @@ class Forwarder
     sim::Gate activity_;
     std::vector<Entry> queues_;
     bool started_ = false;
-
-    /** Forward-path WRR state + scratch (reused across batches). */
-    WrrPicker fwdWrr_;
-    std::vector<TenantId> scratchTenant_;
-    std::vector<std::size_t> scratchOrder_;
-    std::vector<char> scratchTaken_;
 
     sim::StatSet stats_;
 

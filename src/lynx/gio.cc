@@ -45,15 +45,6 @@ AccelQueue::~AccelQueue()
     mem_.unwatch(txConsWatchId_);
 }
 
-bool
-AccelQueue::rxReady() const
-{
-    if (!burst_.empty())
-        return true;
-    SlotMeta meta = readSlotMeta(mem_, layout_.rxSlotEnd(rxConsumed_));
-    return meta.seq == static_cast<std::uint32_t>(rxConsumed_ + 1);
-}
-
 sim::Co<GioMessage>
 AccelQueue::recv()
 {

@@ -103,9 +103,6 @@ class AccelQueue
      *  accelerator-local memory): a recvBatch() of one. */
     sim::Co<GioMessage> recv();
 
-    /** Non-blocking probe: @return whether recv() would not park. */
-    bool rxReady() const;
-
     /**
      * Await at least one request, then drain the ready RX slots in
      * one sweep of at most @p maxN slots (the whole ring with

@@ -119,12 +119,6 @@ struct MqueueLayout
         return rxSlotEnd(i) - 4;
     }
 
-    /** @return offset of the doorbell word of TX slot @p i. */
-    std::uint64_t txDoorbell(std::uint64_t i) const
-    {
-        return txSlotEnd(i) - 4;
-    }
-
     /** @return offset of the rxCons status register. */
     std::uint64_t
     rxConsOff() const
@@ -299,34 +293,6 @@ encodeTxBatchSegment(const MqueueLayout &l, std::uint64_t firstSlot,
     return detail::encodeBatchSegment(
         l, firstSlot, recs,
         [&l](std::uint64_t i) { return l.txSlotEnd(i); });
-}
-
-/** Parse the metadata trailer from a full-slot snapshot buffer. */
-inline SlotMeta
-parseSlotMeta(std::span<const std::uint8_t> slotBuf)
-{
-    auto getU32 = [&](std::size_t off) {
-        return static_cast<std::uint32_t>(slotBuf[off]) |
-               (static_cast<std::uint32_t>(slotBuf[off + 1]) << 8) |
-               (static_cast<std::uint32_t>(slotBuf[off + 2]) << 16) |
-               (static_cast<std::uint32_t>(slotBuf[off + 3]) << 24);
-    };
-    std::size_t end = slotBuf.size();
-    SlotMeta meta;
-    meta.len = getU32(end - 16);
-    meta.tag = getU32(end - 12);
-    meta.err = getU32(end - 8);
-    meta.seq = getU32(end - 4);
-    return meta;
-}
-
-/** Extract the payload from a full-slot snapshot buffer. */
-inline std::vector<std::uint8_t>
-parseSlotPayload(std::span<const std::uint8_t> slotBuf, const SlotMeta &meta)
-{
-    std::size_t start = slotBuf.size() - SlotMeta::bytes - meta.len;
-    return {slotBuf.begin() + start,
-            slotBuf.begin() + start + meta.len};
 }
 
 } // namespace lynx::core

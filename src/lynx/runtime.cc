@@ -9,6 +9,14 @@
 
 namespace lynx::core {
 
+namespace {
+
+/** Hysteresis before a parked tenant class queue is re-pumped after
+ *  capacity frees (batches several completions into one pump). */
+constexpr sim::Tick kTenantDrainDelay = sim::microseconds(2);
+
+} // namespace
+
 Runtime::Runtime(sim::Simulator &sim, RuntimeConfig cfg)
     : sim_(sim), cfg_(std::move(cfg))
 {
@@ -62,10 +70,8 @@ Runtime::addAccelerator(const std::string &name, pcie::DeviceMemory &mem,
 {
     LYNX_ASSERT(services_.empty(),
                 "register all accelerators before adding services");
-    std::size_t nfwd = cfg_.forwardersPerAccel
-                           ? static_cast<std::size_t>(
-                                 cfg_.forwardersPerAccel)
-                           : cfg_.cores.size();
+    // One forwarding loop per worker core.
+    std::size_t nfwd = cfg_.cores.size();
     std::vector<sim::Core *> fwdCores;
     for (std::size_t i = 0; i < nfwd; ++i)
         fwdCores.push_back(&nextCore());
@@ -171,7 +177,7 @@ Runtime::start()
         for (auto &svc : services_) {
             monitors_.push_back(std::make_unique<HealthMonitor>(
                 sim_, svc->config().name + ".monitor",
-                svc->dispatcher(), nextCore(), cfg_.failover));
+                svc->dispatcher(), nextCore()));
             monitors_.back()->start();
         }
     }
@@ -205,8 +211,7 @@ Runtime::tenantDrainLoop(Service &svc, sim::Core &core,
         gate.close();
         // Small hysteresis: batch several completions (or a burst of
         // deferred arrivals) into one pump sweep.
-        if (cfg_.tenancy.drainDelay > 0)
-            co_await sim::sleep(cfg_.tenancy.drainDelay);
+        co_await sim::sleep(kTenantDrainDelay);
         co_await svc.dispatcher().pumpTenants(core);
         // Whatever is still deferred waits for the next capacity
         // hook; parking on the closed gate keeps the idle world

@@ -207,9 +207,6 @@ struct RuntimeConfig
      *  mqueues); defaults to `stack` when unset. */
     std::optional<net::StackProfile> backendStack;
 
-    /** Forwarding loops per accelerator (0 = one per worker core). */
-    int forwardersPerAccel = 0;
-
     /** Dispatcher CPU per message. */
     sim::Tick dispatchCpu = sim::nanoseconds(500);
 

@@ -233,9 +233,7 @@ class SnicMqueue
     std::vector<std::uint32_t> allocatedTags() const;
 
     /** Non-destructive tag lookup: @return the ClientRef @p tag is
-     *  currently allocated to, or null for unknown/stale tags. The
-     *  forwarder's WRR traffic classes use it to learn a fetched TX
-     *  slot's tenant before releasing the tag. */
+     *  currently allocated to, or null for unknown/stale tags. */
     const ClientRef *peekTag(std::uint32_t tag) const;
 
     /** @return requests with an allocated tag, i.e. dispatched but
@@ -262,9 +260,6 @@ class SnicMqueue
     /** @return whether a ring access exhausted its retry budget and
      *  the queue needs failover + repair. */
     bool transportDead() const { return transportDead_; }
-
-    /** RX slots claimed but never landed (retry budget exhausted). */
-    std::size_t lostSlotCount() const { return lostSlots_.size(); }
 
     /**
      * Rewrite every lost RX slot as a zero-length kSlotSkipErr

@@ -11,8 +11,8 @@
  *    are rejected with a counted drop reason — never silently),
  *  - an mqueue quota (ring tags a tenant may hold concurrently, so a
  *    burst cannot monopolize the RX rings),
- *  - a WRR weight consumed by the dispatch- and forward-path
- *    traffic classes, and
+ *  - a WRR weight consumed by the dispatch-path traffic classes
+ *    (the forwarder sends each fetched TX batch in ring order), and
  *  - a tag-namespace generation: retiring a tenant bumps it, so
  *    responses to the retired generation's requests are dropped and
  *    counted instead of delivered stale.
@@ -52,10 +52,10 @@ using TenantId = std::uint16_t;
 /** Per-tenant resource envelope (the SLA knob). */
 struct TenantQuota
 {
-    /** WRR weight of the tenant's traffic class (dispatch and
-     *  forward paths). Weights are relative shares — only ratios
-     *  matter, so the same config is valid at any link rate
-     *  (DESIGN.md §9 on normalization). Must be >= 1. */
+    /** WRR weight of the tenant's dispatch-path traffic class.
+     *  Weights are relative shares — only ratios matter, so the same
+     *  config is valid at any link rate (DESIGN.md §9 on
+     *  normalization). Must be >= 1. */
     int weight = 1;
 
     /** Admission cap: requests admitted but not yet answered (or
@@ -86,10 +86,6 @@ struct TenantConfig
 
     /** Quota template for auto-registered tenants. */
     TenantQuota defaults;
-
-    /** Hysteresis before a parked class queue is re-pumped after
-     *  capacity frees (batches several completions into one pump). */
-    sim::Tick drainDelay = sim::microseconds(2);
 };
 
 /**
@@ -106,18 +102,32 @@ class WrrPicker
   public:
     static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+    /** What one pick() charged: the winner, the total it was charged
+     *  and each eligible entry's credit add. A caller keeps the Turn
+     *  of a pick it may fail to serve and hands exactly that Turn to
+     *  unpick(). A Turn reused across picks keeps its vector's
+     *  capacity, so a loop of picks allocates nothing after the
+     *  first (tests/test_sim_alloc.cc). */
+    struct Turn
+    {
+        std::size_t winner = kNone;
+        std::int64_t total = 0;
+        std::vector<std::pair<std::size_t, std::int64_t>> adds;
+    };
+
     /**
      * Pick among indices [0, n). @p eligible returns the entry's
-     * weight, or 0/negative to skip it.
+     * weight, or 0/negative to skip it. Records the charge in
+     * @p turn (overwriting it).
      * @return the winning index, or kNone if nothing is eligible.
      */
     template <typename WeightFn>
     std::size_t
-    pick(std::size_t n, WeightFn &&eligible)
+    pick(std::size_t n, WeightFn &&eligible, Turn &turn)
     {
         if (credit_.size() < n)
             credit_.resize(n, 0);
-        lastAdds_.clear();
+        turn.adds.clear();
         std::int64_t total = 0;
         std::size_t best = kNone;
         for (std::size_t i = 0; i < n; ++i) {
@@ -125,58 +135,47 @@ class WrrPicker
             if (w <= 0)
                 continue;
             credit_[i] += w;
-            lastAdds_.push_back({i, w});
+            turn.adds.push_back({i, w});
             total += w;
             if (best == kNone || credit_[i] > credit_[best])
                 best = i;
         }
         if (best != kNone)
             credit_[best] -= total;
-        lastBest_ = best;
-        lastTotal_ = total;
+        turn.winner = best;
+        turn.total = total;
         return best;
     }
 
     /**
-     * Exactly undo the most recent pick(), as if it never happened.
-     * A caller whose winner could not actually be served (ring or tag
-     * table full — the message is parked, not placed) MUST refund the
-     * pick: a consumed-but-unserved turn otherwise deterministically
-     * aliases against the pick-retry cadence. Concretely, a pump that
-     * places one message then fails on the next pick does two picks
-     * per freed slot; with a period-4 weight pattern (3:1) the light
+     * Exactly undo the pick recorded in @p turn, as if it never
+     * happened. Credit updates are plain additions, so the undo is
+     * exact even when other picks came in between (two pumps
+     * suspended on the same full ring). A caller whose winner could
+     * not actually be served (ring or tag table full — the message
+     * is parked, not placed) MUST refund its own turn: a
+     * consumed-but-unserved turn otherwise deterministically aliases
+     * against the pick-retry cadence. Concretely, a pump that places
+     * one message then fails on the next pick does two picks per
+     * freed slot; with a period-4 weight pattern (3:1) the light
      * class's turn lands on the doomed pick every time and it starves
-     * until the heavy class drains.
+     * until the heavy class drains. A second unpick() of the same
+     * turn is a no-op.
      */
     void
-    unpick()
+    unpick(Turn &turn)
     {
-        if (lastBest_ == kNone)
+        if (turn.winner == kNone)
             return;
-        credit_[lastBest_] += lastTotal_;
-        for (const auto &[i, w] : lastAdds_)
+        credit_[turn.winner] += turn.total;
+        for (const auto &[i, w] : turn.adds)
             credit_[i] -= w;
-        lastBest_ = kNone;
-        lastAdds_.clear();
-    }
-
-    /** Forget accumulated credit (tests). */
-    void
-    reset()
-    {
-        credit_.assign(credit_.size(), 0);
-        lastBest_ = kNone;
-        lastAdds_.clear();
+        turn.winner = kNone;
+        turn.adds.clear();
     }
 
   private:
     std::vector<std::int64_t> credit_;
-    /** (index, weight) additions of the last pick, for unpick(); the
-     *  vector's capacity is sticky, so the steady state allocates
-     *  nothing (tests/test_sim_alloc.cc). */
-    std::vector<std::pair<std::size_t, std::int64_t>> lastAdds_;
-    std::size_t lastBest_ = kNone;
-    std::int64_t lastTotal_ = 0;
 };
 
 /**

@@ -6,10 +6,9 @@
  * SIGCOMM'15, timer-driven variant), and the PFC pause/resume knobs
  * consumed by the SNIC mqueue layer.
  *
- * Everything here is header-only and depends only on sim/: it is
- * shared by net::Network / net::Nic (datagram flows through the
- * switch) and rdma::QueuePair (RDMA flows into accelerator memory),
- * which sit in libraries that do not link each other.
+ * Everything here is header-only and depends only on sim/; its users
+ * are net::Network / net::Nic (datagram flows through the switch).
+ * RDMA queue pairs are not rate-limited.
  *
  * Determinism contract: a default CongestionConfig (enabled == false)
  * must leave every consumer on its exact seed code path — no state,
@@ -30,7 +29,7 @@
 
 namespace lynx::net {
 
-/** DCQCN reaction-point parameters (per flow / per QP). */
+/** DCQCN reaction-point parameters (per NIC flow). */
 struct DcqcnConfig
 {
     /** Full rate the flow starts at and can never exceed, Gbit/s
@@ -177,10 +176,10 @@ class Dcqcn
  * suspends and draws randomness only inside the marking band, so a
  * port that stays uncongested is deterministic regardless of seed.
  *
- * Shared by the switch (lossy datagram traffic: tail-drop past the
- * queue capacity) and by RDMA flows (lossless=true: RoCE traffic
- * rides the PFC-protected priority, so it queues without bound and is
- * only ever *marked* — backpressure, not loss). A message is never
+ * The switch admits lossy datagram traffic (tail-drop past the queue
+ * capacity). Lossless traffic (lossless=true, as RoCE on the
+ * PFC-protected priority) queues without bound and is only ever
+ * *marked*; no model path sends any. A message is never
  * both marked and dropped by the same queue (property-tested): the
  * tail-drop check precedes and short-circuits the marking draw.
  */

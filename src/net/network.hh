@@ -231,9 +231,7 @@ class Network
     /**
      * The egress port feeding @p node, created on first use (never
      * while the plane is disabled). Port rate = the destination
-     * NIC's link rate unless `portGbps` overrides it; RDMA flows can
-     * bind the same port (rdma::QpCongestionBinding) so datagram and
-     * RDMA traffic contend for one bottleneck.
+     * NIC's link rate unless `portGbps` overrides it.
      */
     CongestionPoint &
     egressPort(std::uint32_t node)
@@ -265,20 +263,6 @@ class Network
     sim::StatSet &ecnStats() { return ecnStats_; }
 
     sim::Simulator &sim() { return sim_; }
-
-    /** @return whether this fabric runs over a ShardedSim. */
-    bool sharded() const { return ss_ != nullptr; }
-
-    /** @return the sharded engine (nullptr in serial mode). */
-    sim::ShardedSim *shardedSim() { return ss_; }
-
-    /** @return the shard that homes @p node (sharded mode only). */
-    unsigned
-    shardOf(std::uint32_t node) const
-    {
-        LYNX_ASSERT(ss_ && node < shardOf_.size(), "unknown node ", node);
-        return shardOf_[node];
-    }
 
   private:
     /** Per-shard fabric/ECN counters: every shard judges its own

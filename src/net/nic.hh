@@ -198,16 +198,6 @@ class Nic
      */
     void handleCnp(std::uint32_t congestedNode);
 
-    /** @return the DCQCN state of the flow toward @p dstNode, or
-     *  nullptr if that flow has never been rate-limited (test/debug
-     *  introspection). */
-    const Dcqcn *
-    dcqcnFor(std::uint32_t dstNode) const
-    {
-        auto it = flows_.find(dstNode);
-        return it == flows_.end() ? nullptr : &it->second.dcqcn;
-    }
-
     /** TX/RX counters and drop statistics. */
     sim::StatSet &stats() { return stats_; }
 

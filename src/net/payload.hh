@@ -121,8 +121,6 @@ class Payload
     iterator end() noexcept { return data_ + size_; }
     const_iterator begin() const noexcept { return data_; }
     const_iterator end() const noexcept { return data_ + size_; }
-    const_iterator cbegin() const noexcept { return data_; }
-    const_iterator cend() const noexcept { return data_ + size_; }
     reverse_iterator rbegin() noexcept { return reverse_iterator(end()); }
     reverse_iterator rend() noexcept { return reverse_iterator(begin()); }
     const_reverse_iterator

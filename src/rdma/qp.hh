@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "net/congestion.hh"
 #include "pcie/memory.hh"
 #include "sim/co.hh"
 #include "sim/fault.hh"
@@ -147,30 +146,6 @@ struct QpFaultBinding
     sim::Tick retransmitDelay = sim::microseconds(16);
 };
 
-/**
- * Binding of a QP to the congestion plane: RoCE traffic rides the
- * lossless (PFC-protected) priority of a shared egress port, gets
- * ECN-marked in its RED band, and reacts to the resulting CNPs with a
- * per-QP DCQCN rate limiter. The port is typically
- * Network::egressPort(targetNode), so RDMA and datagram flows contend
- * for the same bottleneck.
- */
-struct QpCongestionBinding
-{
-    /** Shared egress queue this QP's transfers pass through; nullptr
-     *  = rate-limit only (no shared queue, no marking). */
-    net::CongestionPoint *port = nullptr;
-
-    /** Reaction-point parameters of this QP's rate limiter. */
-    net::DcqcnConfig dcqcn;
-
-    /** Control-path latency of a CNP back to the initiator. */
-    sim::Tick cnpDelay = sim::microseconds(2);
-
-    /** At most one CNP per this interval (notification pacing). */
-    sim::Tick cnpMinInterval = sim::microseconds(50);
-};
-
 /** A Reliable Connection QP bound to one target memory region. */
 class QueuePair
 {
@@ -222,35 +197,6 @@ class QueuePair
     {
         return faults_.plan != nullptr && faults_.plan->enabled();
     }
-
-    /**
-     * Attach this QP to the congestion plane (off by default; an
-     * unbound QP keeps the exact seed timing path). Ops then queue
-     * through the bound egress port (lossless: marked, never
-     * dropped), serialize at min(path rate, DCQCN rate), and CE marks
-     * come back as CNPs after `cnpDelay`, cutting the rate.
-     */
-    void
-    bindCongestion(QpCongestionBinding binding)
-    {
-        cc_ = std::make_unique<CcState>(CcState{
-            binding,
-            net::Dcqcn(binding.dcqcn, sim_.now()),
-            /*lastCnpAt=*/0,
-            /*cnpEver=*/false,
-            &stats_.counter("cnp_rx"),
-            &stats_.counter("ecn_marked"),
-            &stats_.histogram("rate_mbps"),
-            &stats_.histogram("alpha_x1000"),
-        });
-    }
-
-    /** Detach from the congestion plane. */
-    void unbindCongestion() { cc_.reset(); }
-
-    /** @return this QP's DCQCN state, or nullptr when unbound
-     *  (test/debug introspection). */
-    const net::Dcqcn *dcqcn() const { return cc_ ? &cc_->dcqcn : nullptr; }
 
     /**
      * One-sided RDMA write: place @p data at @p off in target memory.
@@ -368,19 +314,6 @@ class QueuePair
     sim::StatSet &stats() { return stats_; }
 
   private:
-    /** Congestion-plane state (only allocated while bound). */
-    struct CcState
-    {
-        QpCongestionBinding b;
-        net::Dcqcn dcqcn;
-        sim::Tick lastCnpAt = 0;
-        bool cnpEver = false;
-        sim::Counter *cCnpRx;
-        sim::Counter *cEcnMarked;
-        sim::Histogram *hRateMbps;
-        sim::Histogram *hAlphaX1000;
-    };
-
     /** Transport-level outcome of one work request: the summed
      *  retransmit/injected delay, and whether the retry budget was
      *  exhausted (completion error). */
@@ -416,19 +349,6 @@ class QueuePair
         return fate;
     }
 
-    /** Serialization time of @p bytes at the effective rate:
-     *  min(path rate, DCQCN rate) when congestion-bound, path rate
-     *  otherwise (the seed path — bit-identical when unbound). */
-    sim::Tick
-    serTime(std::uint64_t bytes)
-    {
-        if (!cc_)
-            return path_.serialization(bytes);
-        double r = std::min(path_.gbps, cc_->dcqcn.rateAt(sim_.now()));
-        return static_cast<sim::Tick>(static_cast<double>(bytes) * 8.0 /
-                                      r);
-    }
-
     /** Account a failed op's channel occupancy (its attempts still
      *  serialize and delay later ops, per RC ordering) and @return
      *  the initiator-visible error-completion time. */
@@ -437,7 +357,7 @@ class QueuePair
     {
         sim::Tick start =
             std::max(sim_.now() + path_.nicLatency, busyUntil_);
-        busyUntil_ = start + serTime(bytes) + fate.extra;
+        busyUntil_ = start + path_.serialization(bytes) + fate.extra;
         return busyUntil_ + path_.completionDelay;
     }
 
@@ -446,46 +366,15 @@ class QueuePair
      * Ops occupy the QP's channel for their serialization time only
      * (they pipeline through the one-way latency); deliveries stay
      * ordered because the start times are monotonic. @p extra models
-     * retransmit/injected delay and occupies the channel too. With a
-     * congestion binding, the op additionally queues through the
-     * shared egress port (lossless: RoCE rides the PFC-protected
-     * priority, so it is marked, never dropped) and serializes at the
-     * DCQCN-limited rate.
+     * retransmit/injected delay and occupies the channel too.
      */
     sim::Tick
     nextOpTime(std::uint64_t bytes, sim::Tick extra = 0)
     {
         sim::Tick start =
             std::max(sim_.now() + path_.nicLatency, busyUntil_);
-        if (cc_ && cc_->b.port) {
-            auto v = cc_->b.port->admit(bytes, start, /*lossless=*/true);
-            start = std::max(start, v.start);
-            if (v.marked)
-                noteMark(v.start);
-        }
-        busyUntil_ = start + serTime(bytes) + extra;
+        busyUntil_ = start + path_.serialization(bytes) + extra;
         return busyUntil_ + path_.oneWay;
-    }
-
-    /** A frame of this QP was CE-marked at @p markAt: the target's
-     *  notification point answers with a (paced) CNP that cuts our
-     *  rate `cnpDelay` later. */
-    void
-    noteMark(sim::Tick markAt)
-    {
-        cc_->cEcnMarked->add();
-        if (cc_->cnpEver && markAt - cc_->lastCnpAt < cc_->b.cnpMinInterval)
-            return;
-        cc_->cnpEver = true;
-        cc_->lastCnpAt = markAt;
-        sim_.schedule(markAt + cc_->b.cnpDelay, [this] {
-            cc_->cCnpRx->add();
-            cc_->dcqcn.onCnp(sim_.now());
-            cc_->hRateMbps->record(static_cast<std::uint64_t>(
-                cc_->dcqcn.rateGbps() * 1000.0));
-            cc_->hAlphaX1000->record(static_cast<std::uint64_t>(
-                cc_->dcqcn.alpha() * 1000.0));
-        });
     }
 
     /** Schedule an ordered write delivery; @return delivery time. */
@@ -509,7 +398,6 @@ class QueuePair
     pcie::DeviceMemory &target_;
     RdmaPathModel path_;
     QpFaultBinding faults_;
-    std::unique_ptr<CcState> cc_;
     sim::Tick busyUntil_ = 0;
     sim::StatSet stats_;
 

@@ -100,10 +100,6 @@ class FaultPlan
     /** Current fault rates. */
     const FaultConfig &config() const { return cfg_; }
 
-    /** Replace the stochastic rates (the Rng stream continues; used
-     *  by convergence tests to heal a lossy phase mid-run). */
-    void setConfig(const FaultConfig &cfg) { cfg_ = cfg; }
-
     /** Zero every rate and forget the partition schedule: the fabric
      *  is healthy from now on. */
     void

@@ -11,7 +11,6 @@ const char *
 prefix(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Inform: return "info";
       case LogLevel::Warn:   return "warn";
       case LogLevel::Fatal:  return "fatal";
       case LogLevel::Panic:  return "panic";

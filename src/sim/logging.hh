@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: panic() flags an internal simulator
  * bug and aborts; fatal() flags a user/configuration error and exits
- * cleanly with an error code; warn() and inform() report conditions
- * without stopping the simulation.
+ * cleanly with an error code; warn() reports a condition without
+ * stopping the simulation.
  */
 
 #ifndef LYNX_SIM_LOGGING_HH
@@ -17,7 +17,7 @@
 namespace lynx::sim {
 
 /** Severity of a log message. */
-enum class LogLevel { Inform, Warn, Fatal, Panic };
+enum class LogLevel { Warn, Fatal, Panic };
 
 namespace detail {
 
@@ -38,14 +38,6 @@ concat(Args &&...args)
 }
 
 } // namespace detail
-
-/** Report a condition of interest that is not a problem. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::emit(LogLevel::Inform, detail::concat(std::forward<Args>(args)...));
-}
 
 /** Report a suspicious condition the simulation can survive. */
 template <typename... Args>

@@ -31,10 +31,6 @@ namespace lynx::snic {
 /** Static parameters of one Bluefield card. */
 struct BluefieldConfig
 {
-    /** Worker cores available to Lynx ("We use 7 ARM cores (out of
-     *  8)", §6.1). */
-    int workerCores = calibration::bluefieldWorkerCores;
-
     /** Link rate: the testbed Bluefield is a 25 Gb/s part (§6). */
     net::NicConfig nic{calibration::bluefieldGbps,
                        sim::nanoseconds(300), 4096};
@@ -47,8 +43,9 @@ class Bluefield
     Bluefield(sim::Simulator &sim, net::Network &network,
               const std::string &name, BluefieldConfig cfg = {})
         : name_(name),
-          cores_(sim, name + ".arm", static_cast<std::size_t>(
-                                          cfg.workerCores)),
+          // Lynx uses 7 of the 8 ARM cores (§6.1).
+          cores_(sim, name + ".arm",
+                 static_cast<std::size_t>(calibration::bluefieldWorkerCores)),
           nic_(network.addNic(name + ".nic", cfg.nic))
     {}
 

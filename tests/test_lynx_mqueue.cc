@@ -67,22 +67,32 @@ TEST(MqueueLayout, GeometryIsConsistent)
 
 TEST(MqueueCodec, RoundTripThroughMemory)
 {
-    pcie::DeviceMemory mem("m", 4096);
-    MqueueLayout l{0, 4, 512};
-    auto payload = bytes({1, 2, 3, 4, 5, 6, 7});
-    SlotMeta meta{7, 42, 0, 1};
-    auto buf = core::encodeSlotWrite(payload, meta);
-    EXPECT_EQ(buf.size(), 7u + SlotMeta::bytes);
+    struct Case
+    {
+        std::vector<std::uint8_t> payload;
+        SlotMeta meta;
+    };
+    const Case cases[] = {
+        {bytes({1, 2, 3, 4, 5, 6, 7}), SlotMeta{7, 42, 0, 1}},
+        {bytes({5, 4, 3}), SlotMeta{3, 7, 1, 9}}, // non-zero err
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE("tag " + std::to_string(c.meta.tag));
+        pcie::DeviceMemory mem("m", 4096);
+        MqueueLayout l{0, 4, 512};
+        auto buf = core::encodeSlotWrite(c.payload, c.meta);
+        EXPECT_EQ(buf.size(), c.payload.size() + SlotMeta::bytes);
 
-    std::uint64_t slotEnd = l.rxSlotEnd(0);
-    mem.write(core::slotWriteOffset(slotEnd, 7), buf);
+        std::uint64_t slotEnd = l.rxSlotEnd(0);
+        mem.write(core::slotWriteOffset(slotEnd, c.meta.len), buf);
 
-    SlotMeta got = core::readSlotMeta(mem, slotEnd);
-    EXPECT_EQ(got.len, 7u);
-    EXPECT_EQ(got.tag, 42u);
-    EXPECT_EQ(got.err, 0u);
-    EXPECT_EQ(got.seq, 1u);
-    EXPECT_EQ(core::readSlotPayload(mem, slotEnd, got), payload);
+        SlotMeta got = core::readSlotMeta(mem, slotEnd);
+        EXPECT_EQ(got.len, c.meta.len);
+        EXPECT_EQ(got.tag, c.meta.tag);
+        EXPECT_EQ(got.err, c.meta.err);
+        EXPECT_EQ(got.seq, c.meta.seq);
+        EXPECT_EQ(core::readSlotPayload(mem, slotEnd, got), c.payload);
+    }
 }
 
 TEST(MqueueCodec, DoorbellBytesAreLastInTheWrite)
@@ -94,22 +104,6 @@ TEST(MqueueCodec, DoorbellBytesAreLastInTheWrite)
     ASSERT_EQ(buf.size(), 18u);
     EXPECT_EQ(buf[14], 0x0d);
     EXPECT_EQ(buf[17], 0x0a);
-}
-
-TEST(MqueueCodec, ParseFromSnapshotBuffer)
-{
-    auto payload = bytes({5, 4, 3});
-    SlotMeta meta{3, 7, 1, 9};
-    auto written = core::encodeSlotWrite(payload, meta);
-    std::vector<std::uint8_t> slot(128, 0);
-    std::copy(written.begin(), written.end(),
-              slot.end() - static_cast<long>(written.size()));
-    SlotMeta got = core::parseSlotMeta(slot);
-    EXPECT_EQ(got.len, 3u);
-    EXPECT_EQ(got.tag, 7u);
-    EXPECT_EQ(got.err, 1u);
-    EXPECT_EQ(got.seq, 9u);
-    EXPECT_EQ(core::parseSlotPayload(slot, got), payload);
 }
 
 TEST(SnicAccelQueue, RxPushReachesAccelRecv)

@@ -239,6 +239,7 @@ TEST(AllocFreeHotPath, TenantAccountingHotPathDoesNotAllocate)
     core::TenantId a = table.add(q);
     core::TenantId b = table.add();
     core::WrrPicker wrr;
+    core::WrrPicker::Turn turn;
 
     auto cycle = [&] {
         table.admit(a);
@@ -246,9 +247,12 @@ TEST(AllocFreeHotPath, TenantAccountingHotPathDoesNotAllocate)
         table.noteTagAlloc(a);
         (void)table.belowTagQuota(a);
         table.noteTagRelease(a);
-        wrr.pick(2, [&](std::size_t i) {
-            return table.weight(static_cast<core::TenantId>(i + 1));
-        });
+        wrr.pick(
+            2,
+            [&](std::size_t i) {
+                return table.weight(static_cast<core::TenantId>(i + 1));
+            },
+            turn);
         table.finish(a, table.generation(a), 3_us);
         table.finish(b, table.generation(b), 3_us);
     };

@@ -9,7 +9,8 @@
  *
  *  - a 4-machine echo cluster produces byte-identical fingerprints
  *    (per-generator ledgers + latency quantiles + the merged metrics
- *    JSON) across shards {1,2,4} x threads {1,2,4};
+ *    JSON) across shards {1,2,4} x threads {1,2,4}, also with keyed
+ *    fabric loss and egress tail-drop;
  *  - ten seeds of the same cluster under fault injection (drops,
  *    corruption, delay, a partition window) AND ECN/DCQCN congestion
  *    match between 1 worker and 4 workers at 4 shards;
@@ -54,6 +55,11 @@ struct RunOpts
     std::uint64_t seed = 1;
     bool faults = false;
     bool congestion = false;
+    /** Fabric loss (keyed per (src, dst, pair seq) when sharded). */
+    double lossRate = 0.0;
+    /** Egress-queue capacity when congestion is on; 0 keeps the
+     *  default. A small one makes the ports tail-drop. */
+    std::uint64_t egressQueueBytes = 0;
 };
 
 /** Echo server: swap the addresses, send the message back. */
@@ -102,7 +108,10 @@ runCluster(const RunOpts &o)
         ncfg.congestion.ecnKminBytes = 0;
         ncfg.congestion.ecnKmaxBytes = 2048;
         ncfg.congestion.ecnPmax = 0.5;
+        if (o.egressQueueBytes != 0)
+            ncfg.congestion.egressQueueBytes = o.egressQueueBytes;
     }
+    ncfg.lossRate = o.lossRate;
     net::Network net(ss, ncfg);
 
     sim::FaultConfig fcfg;
@@ -198,6 +207,18 @@ runCluster(const RunOpts &o)
     return os.str();
 }
 
+/** The lossy scenario of the matrix: keyed fabric loss plus an
+ *  egress queue of one and a half 256 B frames, so the sharded
+ *  fabric's loss drop and its egress tail-drop both run. */
+RunOpts
+lossyOpts()
+{
+    return {.seed = 11,
+            .congestion = true,
+            .lossRate = 0.01,
+            .egressQueueBytes = 384};
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -205,18 +226,38 @@ runCluster(const RunOpts &o)
 
 TEST(ShardedGolden, ClusterBitExactAcrossShardsAndThreads)
 {
-    const std::string golden =
-        runCluster({.shards = 1, .threads = 1, .seed = 11});
-    ASSERT_NE(golden.find("completed="), std::string::npos);
-    for (unsigned shards : {1u, 2u, 4u}) {
-        for (unsigned threads : {1u, 2u, 4u}) {
-            if (shards == 1 && threads == 1)
-                continue;
-            EXPECT_EQ(golden, runCluster({.shards = shards,
-                                          .threads = threads,
-                                          .seed = 11}))
-                << "shards=" << shards << " threads=" << threads;
+    for (RunOpts base : {RunOpts{.seed = 11}, lossyOpts()}) {
+        SCOPED_TRACE("lossRate=" + std::to_string(base.lossRate));
+        const std::string golden = runCluster(base);
+        ASSERT_NE(golden.find("completed="), std::string::npos);
+        for (unsigned shards : {1u, 2u, 4u}) {
+            for (unsigned threads : {1u, 2u, 4u}) {
+                if (shards == 1 && threads == 1)
+                    continue;
+                RunOpts o = base;
+                o.shards = shards;
+                o.threads = threads;
+                EXPECT_EQ(golden, runCluster(o))
+                    << "shards=" << shards << " threads=" << threads;
+            }
         }
+    }
+}
+
+TEST(ShardedGolden, LossAndEgressDropsActuallyFire)
+{
+    // The lossy matrix above would pass vacuously if neither drop
+    // path ran; pin that both did.
+    RunOpts o = lossyOpts();
+    o.shards = 4;
+    o.threads = 4;
+    const std::string fp = runCluster(o);
+    for (const char *key : {"\"dropped_in_fabric\":", "\"egress_drops\":"}) {
+        const std::string k = key;
+        EXPECT_NE(fp.find(k), std::string::npos) << k << "\n" << fp;
+        EXPECT_EQ(fp.find(k + "0"), std::string::npos)
+            << "expected nonzero " << k << " merged snapshot:\n"
+            << fp;
     }
 }
 

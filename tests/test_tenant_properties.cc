@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lynx/dispatcher.hh"
@@ -64,11 +67,12 @@ TEST(WrrProperties, WeightProportionalWithinEveryCycle)
             total += w;
         }
         WrrPicker p;
+        WrrPicker::Turn turn;
         for (int cycle = 0; cycle < 10; ++cycle) {
             std::vector<std::int64_t> count(n, 0);
             for (std::int64_t k = 0; k < total; ++k) {
-                std::size_t i =
-                    p.pick(n, [&](std::size_t j) { return weights[j]; });
+                std::size_t i = p.pick(
+                    n, [&](std::size_t j) { return weights[j]; }, turn);
                 ASSERT_LT(i, n);
                 ++count[i];
             }
@@ -92,11 +96,15 @@ TEST(WrrProperties, WorkConservingUnderRandomEligibility)
         for (auto &w : weights)
             w = 1 + static_cast<std::int64_t>(rng.below(8));
         WrrPicker p;
+        WrrPicker::Turn turn;
         for (int step = 0; step < 500; ++step) {
             std::uint64_t mask = rng.below(1u << n); // possibly empty
-            std::size_t i = p.pick(n, [&](std::size_t j) {
-                return (mask >> j) & 1 ? weights[j] : 0;
-            });
+            std::size_t i = p.pick(
+                n,
+                [&](std::size_t j) {
+                    return (mask >> j) & 1 ? weights[j] : 0;
+                },
+                turn);
             if (mask == 0) {
                 EXPECT_EQ(i, WrrPicker::kNone);
             } else {
@@ -113,10 +121,12 @@ TEST(WrrProperties, WorkConservingUnderRandomEligibility)
     }
 }
 
-/** unpick() is an exact inverse of pick(): a refunded turn leaves no
- *  trace, so a re-pick under the same eligibility chooses the same
- *  winner, and randomly injected pick/unpick pairs (a full ring's
- *  "doomed pick") never disturb the per-cycle proportionality. */
+/** unpick() is an exact inverse of the pick its Turn records: a
+ *  refunded turn leaves no trace, so a re-pick under the same
+ *  eligibility chooses the same winner — also when a second doomed
+ *  pick came in between — and randomly injected pick/unpick pairs (a
+ *  full ring's "doomed pick") never disturb the per-cycle
+ *  proportionality. */
 TEST(WrrProperties, UnpickRestoresStateExactly)
 {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -130,21 +140,33 @@ TEST(WrrProperties, UnpickRestoresStateExactly)
             total += w;
         }
         WrrPicker p;
+        WrrPicker::Turn turn;
+        WrrPicker::Turn doomedTurn;
+        WrrPicker::Turn againTurn;
         auto fn = [&](std::size_t j) { return weights[j]; };
         for (int cycle = 0; cycle < 10; ++cycle) {
             std::vector<std::int64_t> count(n, 0);
             for (std::int64_t k = 0; k < total; ++k) {
                 // Fail-and-refund a few turns before the served one.
                 while (rng.below(3) == 0) {
-                    std::size_t doomed = p.pick(n, fn);
+                    std::size_t doomed = p.pick(n, fn, doomedTurn);
                     ASSERT_LT(doomed, n);
-                    p.unpick();
-                    std::size_t again = p.pick(n, fn);
+                    if (rng.below(2) == 0) {
+                        // Two doomed turns in flight at once (two
+                        // pumps on one full ring), refunded oldest
+                        // first: each refund undoes exactly its own.
+                        p.pick(n, fn, againTurn);
+                        p.unpick(doomedTurn);
+                        p.unpick(againTurn);
+                    } else {
+                        p.unpick(doomedTurn);
+                    }
+                    std::size_t again = p.pick(n, fn, againTurn);
                     EXPECT_EQ(again, doomed)
                         << "refunded pick left a trace";
-                    p.unpick();
+                    p.unpick(againTurn);
                 }
-                std::size_t i = p.pick(n, fn);
+                std::size_t i = p.pick(n, fn, turn);
                 ASSERT_LT(i, n);
                 ++count[i];
             }
@@ -152,9 +174,9 @@ TEST(WrrProperties, UnpickRestoresStateExactly)
                 EXPECT_EQ(count[i], weights[i])
                     << "cycle " << cycle << " entry " << i;
         }
-        p.unpick(); // refunds the cycle's final pick…
-        p.unpick(); // …and the second refund is a guarded no-op
-        std::size_t i = p.pick(n, fn);
+        p.unpick(turn); // refunds the cycle's final pick…
+        p.unpick(turn); // …and the second refund is a guarded no-op
+        std::size_t i = p.pick(n, fn, turn);
         ASSERT_LT(i, n); // the picker still serves afterwards
     }
 }
@@ -467,6 +489,112 @@ TEST(TenantDispatchProperties, DispatchOrderFollowsWeights)
     // The tail after the heavy class drains is all light-tenant —
     // weight 1 still gets the whole link when alone (conservation).
     EXPECT_EQ(order.back(), b);
+}
+
+namespace {
+
+/** Placement order of one full-ring scenario: an 8-slot ring filled
+ *  with untenanted requests, two classes backlogged at weights 3:1,
+ *  then @p pumps pumps on as many cores — run at once
+ *  (@p concurrent) or one after the other — that all fail on the
+ *  full ring. After 1 ms a consumer drains the ring, re-pumping after
+ *  each message.
+ *  @return the (tenant, seq) of every request in ring order. */
+std::vector<std::pair<TenantId, std::uint64_t>>
+placementAfterFailedPumps(int pumps, bool concurrent)
+{
+    Rig r;
+    std::vector<std::unique_ptr<sim::Core>> cores;
+    for (int i = 0; i < pumps; ++i)
+        cores.push_back(std::make_unique<sim::Core>(
+            r.s, "snic.pump" + std::to_string(i)));
+    TenantConfig tcfg;
+    tcfg.enabled = true;
+    tcfg.autoRegister = false;
+    TenantTable table(r.s, tcfg);
+    TenantQuota qa;
+    qa.weight = 3;
+    TenantQuota qb;
+    qb.weight = 1;
+    TenantId a = table.add(qa);
+    TenantId b = table.add(qb);
+
+    SnicMqueueConfig mcfg;
+    mcfg.tenants = &table;
+    SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, mcfg);
+    AccelQueue gio(r.s, "gio", r.mem, r.layout);
+    Dispatcher d("d", DispatchPolicy::RoundRobin,
+                 DispatcherConfig{.tenants = &table});
+    d.addQueue(&mq);
+
+    constexpr int kPerTenant = 6;
+    const std::size_t total = r.layout.slots + 2 * kPerTenant;
+    auto pump = [&](sim::Core &core) -> sim::Task {
+        co_await d.pumpTenants(core);
+    };
+    auto produce = [&]() -> sim::Task {
+        for (std::uint64_t k = 0; k < r.layout.slots; ++k)
+            co_await d.dispatch(r.core, tenantMsg(0, 100 + k));
+        // Every arrival's own pump fails on the full ring and parks
+        // it, one at a time.
+        for (int k = 0; k < kPerTenant; ++k) {
+            co_await d.dispatch(r.core, tenantMsg(a, k));
+            co_await d.dispatch(r.core, tenantMsg(b, k));
+        }
+        for (auto &core : cores) {
+            if (concurrent)
+                sim::spawn(r.s, pump(*core));
+            else
+                co_await d.pumpTenants(*core);
+        }
+    };
+    std::vector<std::pair<TenantId, std::uint64_t>> order;
+    auto consume = [&]() -> sim::Task {
+        co_await sim::sleep(1_ms);
+        while (order.size() < total) {
+            GioMessage g = co_await gio.recv();
+            auto c = mq.tryReleaseTag(g.tag);
+            if (!c) {
+                ADD_FAILURE() << "tag without a client record";
+                co_return;
+            }
+            order.push_back({c->tenant, c->seq});
+            co_await d.pumpTenants(r.core);
+        }
+    };
+    sim::spawn(r.s, produce());
+    sim::spawn(r.s, consume());
+    r.s.run();
+    EXPECT_EQ(order.size(), total);
+    EXPECT_EQ(d.tenantPending(), 0u);
+    return order;
+}
+
+} // namespace
+
+/** Pumps failing on the same full ring each refund exactly their own
+ *  WRR turn and park their own message back in arrival order, so the
+ *  placement order after the ring drains equals the one the same
+ *  pumps leave when they run one after the other. Two pumps catch a
+ *  refund of "the most recent pick" (it refunded the other pump's
+ *  turn and left the failed one charged); four pumps also resume in
+ *  pick order, which catches parking at the class head (it swapped
+ *  two messages of the same class). */
+TEST(TenantDispatchProperties, ConcurrentFailedPumpsRefundTheirOwnTurns)
+{
+    for (int pumps : {2, 4}) {
+        SCOPED_TRACE(std::to_string(pumps) + " pumps");
+        auto sequential = placementAfterFailedPumps(pumps, false);
+        auto concurrent = placementAfterFailedPumps(pumps, true);
+        EXPECT_EQ(concurrent, sequential);
+        // The sequential order itself is WRR over the backlog: the
+        // first four placements after the untenanted fill go 3:1.
+        ASSERT_GE(sequential.size(), 12u);
+        int heavy = 0;
+        for (std::size_t i = 8; i < 12; ++i)
+            heavy += sequential[i].first == 1;
+        EXPECT_EQ(heavy, 3);
+    }
 }
 
 /** A weight-8 tenant with no traffic never blocks a weight-1 tenant:
