@@ -243,6 +243,26 @@ BM_LenetForward(benchmark::State &state)
 }
 BENCHMARK(BM_LenetForward);
 
+// forwardBatch at 1, 8 and 32 images: items/s is per image, so these
+// rows compare directly with BM_LenetForward.
+void
+BM_LenetForwardBatch(benchmark::State &state)
+{
+    apps::LeNet net;
+    std::vector<std::vector<std::uint8_t>> imgs;
+    for (std::int64_t i = 0; i < state.range(0); ++i)
+        imgs.push_back(workload::synthMnist(static_cast<int>(i % 10),
+                                            static_cast<std::uint64_t>(i)));
+    std::vector<std::span<const std::uint8_t>> spans(imgs.begin(),
+                                                     imgs.end());
+    for (auto _ : state) {
+        auto probs = net.forwardBatch(spans);
+        benchmark::DoNotOptimize(probs.data());
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LenetForwardBatch)->Arg(1)->Arg(8)->Arg(32);
+
 void
 BM_LbpDistance(benchmark::State &state)
 {

@@ -40,238 +40,157 @@ LeNetParams::random(std::uint64_t seed)
     return p;
 }
 
-namespace lenet_detail {
+namespace {
 
+// The layer kernels. Each keeps many independent outputs in its
+// innermost loops, so the compiler gives every output its own vector
+// lane, while each output still adds its terms in textbook order:
+// bias first, then ic -> ky -> kx (conv) or ascending i (dense). With
+// no FMA contraction and no -ffast-math a lane rounds exactly like
+// scalar code, so the results are bit-identical to computing one
+// output at a time.
+
+/**
+ * Stride-1 K x K convolution with zero padding @p Pad, then tanh.
+ * Each output channel's whole plane accumulates at once: per kernel
+ * tap (ic, ky, kx) the loops run over the output rows and columns
+ * that tap reaches inside the image, so padding adds no term and no
+ * bounds check runs per term. A single output row (10 columns in
+ * conv2) is too few outputs to hide the adds' latency.
+ */
+template <int InCh, int InDim, int OutCh, int K, int Pad>
 void
-conv2d(const std::vector<float> &in, int inCh, int inDim,
-       const std::vector<float> &w, const std::vector<float> &b,
-       int outCh, int k, int pad, std::vector<float> &out)
+convTanh(const float *in, const float *w, const float *b, float *out)
 {
-    const int outDim = inDim + 2 * pad - k + 1;
-    out.assign(static_cast<std::size_t>(outCh) * outDim * outDim, 0.0f);
-    for (int oc = 0; oc < outCh; ++oc) {
-        for (int oy = 0; oy < outDim; ++oy) {
-            for (int ox = 0; ox < outDim; ++ox) {
-                float acc = b[static_cast<std::size_t>(oc)];
-                for (int ic = 0; ic < inCh; ++ic) {
-                    for (int ky = 0; ky < k; ++ky) {
-                        const int iy = oy + ky - pad;
-                        if (iy < 0 || iy >= inDim)
-                            continue;
-                        for (int kx = 0; kx < k; ++kx) {
-                            const int ix = ox + kx - pad;
-                            if (ix < 0 || ix >= inDim)
-                                continue;
-                            acc += in[static_cast<std::size_t>(
-                                       (ic * inDim + iy) * inDim + ix)] *
-                                   w[static_cast<std::size_t>(
-                                       ((oc * inCh + ic) * k + ky) * k +
-                                       kx)];
-                        }
+    constexpr int outDim = InDim + 2 * Pad - K + 1;
+    for (int oc = 0; oc < OutCh; ++oc) {
+        float acc[outDim * outDim];
+        std::fill(acc, acc + outDim * outDim, b[oc]);
+        for (int ic = 0; ic < InCh; ++ic) {
+            for (int ky = 0; ky < K; ++ky) {
+                const int ylo = std::max(0, Pad - ky);
+                const int yhi = std::min(outDim, InDim + Pad - ky);
+                for (int kx = 0; kx < K; ++kx) {
+                    const int xlo = std::max(0, Pad - kx);
+                    const int xhi = std::min(outDim, InDim + Pad - kx);
+                    const float wv = w[((oc * InCh + ic) * K + ky) * K + kx];
+                    for (int oy = ylo; oy < yhi; ++oy) {
+                        const float *row =
+                            in + (ic * InDim + oy + ky - Pad) * InDim;
+                        float *a = acc + oy * outDim;
+                        for (int ox = xlo; ox < xhi; ++ox)
+                            a[ox] += row[ox + kx - Pad] * wv;
                     }
                 }
-                // tanh activation, as in the classic LeNet.
-                out[static_cast<std::size_t>(
-                    (oc * outDim + oy) * outDim + ox)] = std::tanh(acc);
             }
         }
+        float *o = out + oc * outDim * outDim;
+        for (int i = 0; i < outDim * outDim; ++i)
+            o[i] = std::tanh(acc[i]);
     }
 }
 
+/** 2 x 2 average pooling with stride 2. */
+template <int Ch, int Dim>
 void
-avgPool2(const std::vector<float> &in, int ch, int dim,
-         std::vector<float> &out)
+avgPool2(const float *in, float *out)
 {
-    const int outDim = dim / 2;
-    out.assign(static_cast<std::size_t>(ch) * outDim * outDim, 0.0f);
-    for (int c = 0; c < ch; ++c) {
+    constexpr int outDim = Dim / 2;
+    for (int c = 0; c < Ch; ++c) {
         for (int y = 0; y < outDim; ++y) {
-            for (int x = 0; x < outDim; ++x) {
-                float s =
-                    in[static_cast<std::size_t>(
-                        (c * dim + 2 * y) * dim + 2 * x)] +
-                    in[static_cast<std::size_t>(
-                        (c * dim + 2 * y) * dim + 2 * x + 1)] +
-                    in[static_cast<std::size_t>(
-                        (c * dim + 2 * y + 1) * dim + 2 * x)] +
-                    in[static_cast<std::size_t>(
-                        (c * dim + 2 * y + 1) * dim + 2 * x + 1)];
-                out[static_cast<std::size_t>(
-                    (c * outDim + y) * outDim + x)] = s * 0.25f;
-            }
+            const float *r0 = in + (c * Dim + 2 * y) * Dim;
+            const float *r1 = r0 + Dim;
+            float *o = out + (c * outDim + y) * outDim;
+            for (int x = 0; x < outDim; ++x)
+                o[x] = (r0[2 * x] + r0[2 * x + 1] + r1[2 * x] +
+                        r1[2 * x + 1]) *
+                       0.25f;
         }
     }
 }
 
+/** Fully connected layer over weights @p wT laid out [in][out]. */
+template <int InN, int OutN, bool Activate>
 void
-dense(const std::vector<float> &in, const std::vector<float> &w,
-      const std::vector<float> &b, int outN, bool activate,
-      std::vector<float> &out)
+dense(const float *in, const float *wT, const float *b, float *out)
 {
-    const std::size_t inN = in.size();
-    out.assign(static_cast<std::size_t>(outN), 0.0f);
-    for (int o = 0; o < outN; ++o) {
-        float acc = b[static_cast<std::size_t>(o)];
+    float acc[OutN];
+    std::copy(b, b + OutN, acc);
+    for (int i = 0; i < InN; ++i) {
+        const float x = in[i];
+        const float *wi = wT + i * OutN;
+        for (int o = 0; o < OutN; ++o)
+            acc[o] += x * wi[o];
+    }
+    for (int o = 0; o < OutN; ++o)
+        out[o] = Activate ? std::tanh(acc[o]) : acc[o];
+}
+
+/** @return @p w, laid out [outN][inN], transposed to [inN][outN]. */
+std::vector<float>
+transposed(const std::vector<float> &w, std::size_t outN, std::size_t inN)
+{
+    LYNX_ASSERT(w.size() == outN * inN, "LeNet weight matrix has ",
+                w.size(), " entries, expected ", outN * inN);
+    std::vector<float> t(w.size());
+    for (std::size_t o = 0; o < outN; ++o)
         for (std::size_t i = 0; i < inN; ++i)
-            acc += in[i] * w[static_cast<std::size_t>(o) * inN + i];
-        out[static_cast<std::size_t>(o)] =
-            activate ? std::tanh(acc) : acc;
-    }
+            t[i * outN + o] = w[o * inN + i];
+    return t;
 }
 
-void
-normalize(std::span<const std::uint8_t> image, std::vector<float> &x)
+} // namespace
+
+LeNet::LeNet(LeNetParams params)
+    : params_(std::move(params)), fc1T_(transposed(params_.fc1W, 120, 400)),
+      fc2T_(transposed(params_.fc2W, 84, 120)),
+      fc3T_(transposed(params_.fc3W, 10, 84))
 {
-    x.resize(image.size());
-    for (std::size_t i = 0; i < image.size(); ++i)
-        x[i] = static_cast<float>(image[i]) / 255.0f - 0.5f;
+    const LeNetParams &p = params_;
+    LYNX_ASSERT(p.conv1W.size() == 6 * 5 * 5 && p.conv1B.size() == 6 &&
+                    p.conv2W.size() == 16 * 6 * 5 * 5 &&
+                    p.conv2B.size() == 16 && p.fc1B.size() == 120 &&
+                    p.fc2B.size() == 84 && p.fc3B.size() == 10,
+                "LeNetParams do not have LeNet-5's shapes");
 }
-
-// Batched layer variants: activations are [B][ch*dim*dim] contiguous
-// and the batch loop is innermost, so each weight element is read
-// once and applied to all B images. The per-image accumulation order
-// (bias, then ic -> ky -> kx, or ascending i) matches the scalar
-// functions above exactly, which keeps float results bit-identical.
-
-void
-conv2dBatch(const std::vector<float> &in, int batch, int inCh,
-            int inDim, const std::vector<float> &w,
-            const std::vector<float> &b, int outCh, int k, int pad,
-            std::vector<float> &out, std::vector<float> &acc)
-{
-    const int outDim = inDim + 2 * pad - k + 1;
-    const std::size_t inSz = static_cast<std::size_t>(inCh) * inDim *
-                             inDim;
-    const std::size_t outSz = static_cast<std::size_t>(outCh) * outDim *
-                              outDim;
-    out.assign(static_cast<std::size_t>(batch) * outSz, 0.0f);
-    acc.resize(static_cast<std::size_t>(batch));
-    for (int oc = 0; oc < outCh; ++oc) {
-        for (int oy = 0; oy < outDim; ++oy) {
-            for (int ox = 0; ox < outDim; ++ox) {
-                std::fill(acc.begin(), acc.end(),
-                          b[static_cast<std::size_t>(oc)]);
-                for (int ic = 0; ic < inCh; ++ic) {
-                    for (int ky = 0; ky < k; ++ky) {
-                        const int iy = oy + ky - pad;
-                        if (iy < 0 || iy >= inDim)
-                            continue;
-                        for (int kx = 0; kx < k; ++kx) {
-                            const int ix = ox + kx - pad;
-                            if (ix < 0 || ix >= inDim)
-                                continue;
-                            const float wv = w[static_cast<std::size_t>(
-                                ((oc * inCh + ic) * k + ky) * k + kx)];
-                            const std::size_t at =
-                                static_cast<std::size_t>(
-                                    (ic * inDim + iy) * inDim + ix);
-                            for (int bi = 0; bi < batch; ++bi)
-                                acc[static_cast<std::size_t>(bi)] +=
-                                    in[static_cast<std::size_t>(bi) *
-                                           inSz +
-                                       at] *
-                                    wv;
-                        }
-                    }
-                }
-                const std::size_t at = static_cast<std::size_t>(
-                    (oc * outDim + oy) * outDim + ox);
-                for (int bi = 0; bi < batch; ++bi)
-                    out[static_cast<std::size_t>(bi) * outSz + at] =
-                        std::tanh(acc[static_cast<std::size_t>(bi)]);
-            }
-        }
-    }
-}
-
-void
-avgPool2Batch(const std::vector<float> &in, int batch, int ch, int dim,
-              std::vector<float> &out)
-{
-    const int outDim = dim / 2;
-    const std::size_t inSz = static_cast<std::size_t>(ch) * dim * dim;
-    const std::size_t outSz = static_cast<std::size_t>(ch) * outDim *
-                              outDim;
-    out.assign(static_cast<std::size_t>(batch) * outSz, 0.0f);
-    for (int c = 0; c < ch; ++c) {
-        for (int y = 0; y < outDim; ++y) {
-            for (int x = 0; x < outDim; ++x) {
-                for (int bi = 0; bi < batch; ++bi) {
-                    const float *img =
-                        in.data() + static_cast<std::size_t>(bi) * inSz;
-                    float s = img[static_cast<std::size_t>(
-                                  (c * dim + 2 * y) * dim + 2 * x)] +
-                              img[static_cast<std::size_t>(
-                                  (c * dim + 2 * y) * dim + 2 * x + 1)] +
-                              img[static_cast<std::size_t>(
-                                  (c * dim + 2 * y + 1) * dim + 2 * x)] +
-                              img[static_cast<std::size_t>(
-                                  (c * dim + 2 * y + 1) * dim + 2 * x +
-                                  1)];
-                    out[static_cast<std::size_t>(bi) * outSz +
-                        static_cast<std::size_t>(
-                            (c * outDim + y) * outDim + x)] = s * 0.25f;
-                }
-            }
-        }
-    }
-}
-
-void
-denseBatch(const std::vector<float> &in, int batch, std::size_t inN,
-           const std::vector<float> &w, const std::vector<float> &b,
-           int outN, bool activate, std::vector<float> &out,
-           std::vector<float> &acc)
-{
-    out.assign(static_cast<std::size_t>(batch) * outN, 0.0f);
-    acc.resize(static_cast<std::size_t>(batch));
-    for (int o = 0; o < outN; ++o) {
-        std::fill(acc.begin(), acc.end(),
-                  b[static_cast<std::size_t>(o)]);
-        for (std::size_t i = 0; i < inN; ++i) {
-            const float wv = w[static_cast<std::size_t>(o) * inN + i];
-            for (int bi = 0; bi < batch; ++bi)
-                acc[static_cast<std::size_t>(bi)] +=
-                    in[static_cast<std::size_t>(bi) * inN + i] * wv;
-        }
-        for (int bi = 0; bi < batch; ++bi)
-            out[static_cast<std::size_t>(bi) * outN +
-                static_cast<std::size_t>(o)] =
-                activate ? std::tanh(acc[static_cast<std::size_t>(bi)])
-                         : acc[static_cast<std::size_t>(bi)];
-    }
-}
-
-} // namespace lenet_detail
 
 std::array<float, LeNet::numClasses>
 LeNet::forward(std::span<const std::uint8_t> image) const
 {
-    using namespace lenet_detail;
+    Activations acts;
+    return forward(image, acts);
+}
+
+std::array<float, LeNet::numClasses>
+LeNet::forward(std::span<const std::uint8_t> image, Activations &a) const
+{
     LYNX_ASSERT(image.size() == imageBytes,
                 "LeNet expects a 28x28 grayscale image, got ",
                 image.size(), " bytes");
-    std::vector<float> x;
-    normalize(image, x);
+    for (std::size_t i = 0; i < a.x.size(); ++i)
+        a.x[i] = static_cast<float>(image[i]) / 255.0f - 0.5f;
 
     const LeNetParams &p = params_;
-    std::vector<float> c1, p1, c2, p2, f1, f2, logits;
-    conv2d(x, 1, 28, p.conv1W, p.conv1B, 6, 5, 2, c1);   // 6x28x28
-    avgPool2(c1, 6, 28, p1);                             // 6x14x14
-    conv2d(p1, 6, 14, p.conv2W, p.conv2B, 16, 5, 0, c2); // 16x10x10
-    avgPool2(c2, 16, 10, p2);                            // 16x5x5
-    dense(p2, p.fc1W, p.fc1B, 120, true, f1);
-    dense(f1, p.fc2W, p.fc2B, 84, true, f2);
-    dense(f2, p.fc3W, p.fc3B, 10, false, logits);
+    convTanh<1, 28, 6, 5, 2>(a.x.data(), p.conv1W.data(), p.conv1B.data(),
+                             a.c1.data());
+    avgPool2<6, 28>(a.c1.data(), a.p1.data());
+    convTanh<6, 14, 16, 5, 0>(a.p1.data(), p.conv2W.data(),
+                              p.conv2B.data(), a.c2.data());
+    avgPool2<16, 10>(a.c2.data(), a.p2.data());
+    dense<400, 120, true>(a.p2.data(), fc1T_.data(), p.fc1B.data(),
+                          a.f1.data());
+    dense<120, 84, true>(a.f1.data(), fc2T_.data(), p.fc2B.data(),
+                         a.f2.data());
+    dense<84, 10, false>(a.f2.data(), fc3T_.data(), p.fc3B.data(),
+                         a.logits.data());
 
     // Softmax.
-    float mx = *std::max_element(logits.begin(), logits.end());
+    float mx = *std::max_element(a.logits.begin(), a.logits.end());
     std::array<float, numClasses> probs{};
     float sum = 0.0f;
-    for (int i = 0; i < numClasses; ++i) {
-        probs[static_cast<std::size_t>(i)] =
-            std::exp(logits[static_cast<std::size_t>(i)] - mx);
-        sum += probs[static_cast<std::size_t>(i)];
+    for (std::size_t i = 0; i < probs.size(); ++i) {
+        probs[i] = std::exp(a.logits[i] - mx);
+        sum += probs[i];
     }
     for (auto &pr : probs)
         pr /= sum;
@@ -290,57 +209,10 @@ std::vector<std::array<float, LeNet::numClasses>>
 LeNet::forwardBatch(
     std::span<const std::span<const std::uint8_t>> images) const
 {
-    using namespace lenet_detail;
-    // Below minKernelBatch images the batch loop is too short to pay
-    // for itself and a loop of the scalar pass (the same numbers) is
-    // cheaper on the host.
-    if (images.size() < minKernelBatch) {
-        std::vector<std::array<float, numClasses>> out;
-        out.reserve(images.size());
-        for (std::span<const std::uint8_t> img : images)
-            out.push_back(forward(img));
-        return out;
-    }
-    const int batch = static_cast<int>(images.size());
-    std::vector<float> x(static_cast<std::size_t>(batch) * imageBytes);
-    for (int bi = 0; bi < batch; ++bi) {
-        const auto &img = images[static_cast<std::size_t>(bi)];
-        LYNX_ASSERT(img.size() == imageBytes,
-                    "LeNet expects a 28x28 grayscale image, got ",
-                    img.size(), " bytes");
-        for (std::size_t i = 0; i < img.size(); ++i)
-            x[static_cast<std::size_t>(bi) * imageBytes + i] =
-                static_cast<float>(img[i]) / 255.0f - 0.5f;
-    }
-
-    const LeNetParams &p = params_;
-    std::vector<float> c1, p1, c2, p2, f1, f2, logits, acc;
-    conv2dBatch(x, batch, 1, 28, p.conv1W, p.conv1B, 6, 5, 2, c1, acc);
-    avgPool2Batch(c1, batch, 6, 28, p1);
-    conv2dBatch(p1, batch, 6, 14, p.conv2W, p.conv2B, 16, 5, 0, c2,
-                acc);
-    avgPool2Batch(c2, batch, 16, 10, p2);
-    denseBatch(p2, batch, 400, p.fc1W, p.fc1B, 120, true, f1, acc);
-    denseBatch(f1, batch, 120, p.fc2W, p.fc2B, 84, true, f2, acc);
-    denseBatch(f2, batch, 84, p.fc3W, p.fc3B, 10, false, logits, acc);
-
-    std::vector<std::array<float, numClasses>> out(
-        static_cast<std::size_t>(batch));
-    for (int bi = 0; bi < batch; ++bi) {
-        const float *lg =
-            logits.data() + static_cast<std::size_t>(bi) * numClasses;
-        float mx = *std::max_element(lg, lg + numClasses);
-        std::array<float, numClasses> &probs =
-            out[static_cast<std::size_t>(bi)];
-        float sum = 0.0f;
-        for (int i = 0; i < numClasses; ++i) {
-            probs[static_cast<std::size_t>(i)] =
-                std::exp(lg[i] - mx);
-            sum += probs[static_cast<std::size_t>(i)];
-        }
-        for (auto &pr : probs)
-            pr /= sum;
-    }
+    std::vector<std::array<float, numClasses>> out;
+    out.reserve(images.size());
+    for (std::span<const std::uint8_t> img : images)
+        out.push_back(forward(img));
     return out;
 }
 
@@ -348,12 +220,10 @@ std::vector<int>
 LeNet::classifyBatch(
     std::span<const std::span<const std::uint8_t>> images) const
 {
-    auto probs = forwardBatch(images);
-    std::vector<int> digits(probs.size());
-    for (std::size_t i = 0; i < probs.size(); ++i)
-        digits[i] = static_cast<int>(
-            std::max_element(probs[i].begin(), probs[i].end()) -
-            probs[i].begin());
+    std::vector<int> digits;
+    digits.reserve(images.size());
+    for (std::span<const std::uint8_t> img : images)
+        digits.push_back(classify(img));
     return digits;
 }
 

@@ -16,7 +16,9 @@
  *
  * The layer structure matches what the paper's TVM-compiled version
  * launches as separate GPU kernels; the persistent-kernel service in
- * the benchmarks charges one device kernel per layer.
+ * the benchmarks charges one device kernel per layer. The host runs
+ * one kernel per layer too, the same one for single images, batches
+ * and training.
  */
 
 #ifndef LYNX_APPS_LENET_HH
@@ -57,46 +59,55 @@ class LeNet
     static constexpr int numClasses = 10;
 
     /**
-     * Smallest batch that forwardBatch() runs through the batched
-     * kernels. Per image on a 4-vCPU x86 host (-O3), batched vs a
-     * loop of forward(): 1.3 vs 0.7 ms at 2 images, about even at
-     * 4-6, 0.53 vs 0.75 ms at 8 and 0.43 vs 0.77 ms at 32.
+     * Every layer's output for one image, feature maps laid out
+     * [channel][row][column]. forward() fills one on its stack; the
+     * trainer's backward pass reads it as its cache.
      */
-    static constexpr std::size_t minKernelBatch = 4;
+    struct Activations
+    {
+        std::array<float, imageBytes> x;      ///< normalized input
+        std::array<float, 6 * 28 * 28> c1;    ///< conv1 + tanh
+        std::array<float, 6 * 14 * 14> p1;    ///< 2x2 average pool
+        std::array<float, 16 * 10 * 10> c2;   ///< conv2 + tanh
+        std::array<float, 16 * 5 * 5> p2;     ///< 2x2 average pool
+        std::array<float, 120> f1;            ///< fc1 + tanh
+        std::array<float, 84> f2;             ///< fc2 + tanh
+        std::array<float, numClasses> logits; ///< fc3
+    };
 
     /** Build the network with weights derived from @p seed. */
     explicit LeNet(std::uint64_t seed = 0x1e4e7)
-        : params_(LeNetParams::random(seed))
+        : LeNet(LeNetParams::random(seed))
     {}
 
     /** Build the network from (e.g. trained) parameters. */
-    explicit LeNet(LeNetParams params) : params_(std::move(params)) {}
+    explicit LeNet(LeNetParams params);
 
     /**
-     * Run the full forward pass.
+     * Run the full forward pass. Each layer keeps many independent
+     * outputs in its innermost loops, and each output adds its terms
+     * in textbook order (bias, then input channel → kernel row →
+     * kernel column, or ascending input), so the result is
+     * bit-identical to a one-output-at-a-time pass.
      * @param image 784 grayscale bytes, row-major.
      * @return softmax probabilities over the 10 digit classes.
      */
     std::array<float, numClasses>
     forward(std::span<const std::uint8_t> image) const;
 
+    /** forward(@p image), keeping every layer's output in @p acts. */
+    std::array<float, numClasses>
+    forward(std::span<const std::uint8_t> image, Activations &acts) const;
+
     /** @return the argmax class of forward(@p image). */
     int classify(std::span<const std::uint8_t> image) const;
 
-    /**
-     * Run the forward pass over a batch of images in one sweep: every
-     * layer iterates its weights once and applies each weight to all
-     * B images while it is hot (the batch dimension is the innermost
-     * loop), the way one batched kernel replaces B per-image kernels.
-     * Per-image accumulation order is unchanged, so element @p b of
-     * the result is bit-identical to forward(@p images[b]). A batch
-     * of fewer than minKernelBatch images runs forward() per image.
-     */
+    /** @return forward() of each image, in order. */
     std::vector<std::array<float, numClasses>>
     forwardBatch(std::span<const std::span<const std::uint8_t>> images)
         const;
 
-    /** @return the per-image argmax classes of forwardBatch(). */
+    /** @return classify() of each image, in order. */
     std::vector<int>
     classifyBatch(std::span<const std::span<const std::uint8_t>> images)
         const;
@@ -106,6 +117,9 @@ class LeNet
 
   private:
     LeNetParams params_;
+    // fc1W/fc2W/fc3W transposed to [in][out], so the dense layers
+    // sweep each input's row of weights across all outputs.
+    std::vector<float> fc1T_, fc2T_, fc3T_;
 };
 
 } // namespace lynx::apps

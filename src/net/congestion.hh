@@ -176,12 +176,10 @@ class Dcqcn
  * suspends and draws randomness only inside the marking band, so a
  * port that stays uncongested is deterministic regardless of seed.
  *
- * The switch admits lossy datagram traffic (tail-drop past the queue
- * capacity). Lossless traffic (lossless=true, as RoCE on the
- * PFC-protected priority) queues without bound and is only ever
- * *marked*; no model path sends any. A message is never
- * both marked and dropped by the same queue (property-tested): the
- * tail-drop check precedes and short-circuits the marking draw.
+ * The switch carries lossy datagram traffic: tail-drop past the queue
+ * capacity. A message is never both marked and dropped by the same
+ * queue (property-tested): the tail-drop check precedes and
+ * short-circuits the marking draw.
  */
 class CongestionPoint
 {
@@ -191,8 +189,7 @@ class CongestionPoint
         /** Drain rate of the port, Gbit/s. */
         double gbps = 25.0;
 
-        /** Queue capacity in bytes (tail-drop threshold for lossy
-         *  traffic). */
+        /** Queue capacity in bytes (tail-drop threshold). */
         std::uint64_t queueBytes = 256 * 1024;
 
         /** RED/ECN marking band: mark with probability 0 at kminBytes
@@ -229,18 +226,17 @@ class CongestionPoint
     CongestionPoint &operator=(const CongestionPoint &) = delete;
 
     /**
-     * Admit @p bytes arriving at @p arrival. Lossy traffic that finds
-     * the queue full is dropped (and does not occupy the wire);
-     * @p lossless traffic always queues. Marking is judged against
-     * the depth *ahead of* the arrival.
+     * Admit @p bytes arriving at @p arrival. A message that finds the
+     * queue full is dropped (and does not occupy the wire). Marking
+     * is judged against the depth *ahead of* the arrival.
      */
     Verdict
-    admit(std::uint64_t bytes, sim::Tick arrival, bool lossless = false)
+    admit(std::uint64_t bytes, sim::Tick arrival)
     {
         Verdict v;
         v.start = std::max(arrival, busyUntil_);
         v.depthBytes = bytesIn(v.start - arrival);
-        if (!lossless && v.depthBytes + bytes > cfg_.queueBytes) {
+        if (v.depthBytes + bytes > cfg_.queueBytes) {
             v.dropped = true;
             ++drops_;
             return v;

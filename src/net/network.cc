@@ -162,8 +162,7 @@ Network::stagedArrival(Message m, std::uint64_t pairSeq)
         // already partition-invariant.
         CongestionPoint &port = egressPort(dst);
         const sim::Tick arrival = now - cfg_.propagation;
-        CongestionPoint::Verdict v =
-            port.admit(m.size(), arrival, /*lossless=*/false);
+        CongestionPoint::Verdict v = port.admit(m.size(), arrival);
         st.queueBytes->record(v.depthBytes);
         if (v.dropped) {
             st.egressDrops->add();

@@ -176,8 +176,7 @@ class Network
             // draws) is unchanged from the seed path.
             CongestionPoint &port = egressPort(m.dst.node);
             sim::Tick arrival = sim_.now() + cfg_.switchLatency;
-            CongestionPoint::Verdict v =
-                port.admit(m.size(), arrival, /*lossless=*/false);
+            CongestionPoint::Verdict v = port.admit(m.size(), arrival);
             hQueueBytes_->record(v.depthBytes);
             if (v.dropped) {
                 cEgressDrops_->add();

@@ -145,11 +145,7 @@ TEST(GpuBatching, LenetForwardBatchBitIdenticalToScalarForward)
                                             static_cast<std::uint64_t>(i)));
     std::vector<std::span<const std::uint8_t>> spans(imgs.begin(),
                                                      imgs.end());
-    // Every batch size from 1 to 13, so both sides of minKernelBatch
-    // (a loop of forward() below it, the batched kernels from it on)
-    // are checked.
-    static_assert(apps::LeNet::minKernelBatch > 1 &&
-                  apps::LeNet::minKernelBatch <= 13);
+    // Every batch size from 1 to 13.
     for (std::size_t n = 1; n <= imgs.size(); ++n) {
         auto batched = net.forwardBatch(
             std::span<const std::span<const std::uint8_t>>(spans).first(
@@ -157,8 +153,7 @@ TEST(GpuBatching, LenetForwardBatchBitIdenticalToScalarForward)
         ASSERT_EQ(batched.size(), n);
         for (std::size_t i = 0; i < n; ++i) {
             auto scalar = net.forward(imgs[i]);
-            // Bit-exact: the batched loops preserve the per-image
-            // float accumulation order.
+            // Bit-exact: a batch runs the per-image pass.
             EXPECT_EQ(std::memcmp(batched[i].data(), scalar.data(),
                                   sizeof scalar),
                       0)
