@@ -21,10 +21,15 @@
 
 #include "sim/shard.hh"
 
+#include "accel/gpu.hh"
 #include "apps/aes.hh"
 #include "apps/lbp.hh"
 #include "apps/lenet.hh"
+#include "lynx/calibration.hh"
 #include "lynx/mqueue.hh"
+#include "lynx/runtime.hh"
+#include "net/network.hh"
+#include "pcie/fabric.hh"
 #include "pcie/memory.hh"
 #include "rdma/qp.hh"
 #include "sim/channel.hh"
@@ -205,6 +210,33 @@ BM_DeviceMemoryNotify(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DeviceMemoryNotify)->Arg(3)->Arg(720);
+
+// Set-up cost of one accelerator: a default (16 MiB) Gpu plus the
+// 240 default rings of Fig. 6's headline server carved from it. Device
+// memory is demand-zero, so this is the cost of the ring pages the
+// carve commits, not of the whole region. No floor.
+void
+BM_GpuSetup(benchmark::State &state)
+{
+    for (auto _ : state) {
+        sim::Simulator s;
+        net::Network nw(s);
+        sim::Core arm(s, "snic.arm0");
+        pcie::Fabric fabric(s, "pcie");
+        accel::Gpu gpu(s, "k40m", fabric);
+        core::RuntimeConfig cfg;
+        cfg.cores = {&arm};
+        cfg.nic = &nw.addNic("snic");
+        cfg.stack = calibration::vmaBluefield();
+        core::Runtime rt(s, cfg);
+        auto &accel =
+            rt.addAccelerator("k40m", gpu.memory(), rdma::RdmaPathModel{});
+        for (int q = 0; q < 240; ++q)
+            benchmark::DoNotOptimize(accel.allocQueue(16, 2048));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GpuSetup)->Unit(benchmark::kMicrosecond);
 
 /** Encode one slot, write it into device memory and decode its
  *  metadata the way gio and the SNIC do (readSlotMeta). */

@@ -1,23 +1,25 @@
 #include "kvstore.hh"
 
+#include <algorithm>
+
 namespace lynx::apps {
 
 namespace {
 
 void
-putU16(std::vector<std::uint8_t> &buf, std::uint16_t v)
+setU16(std::span<std::uint8_t> buf, std::size_t off, std::uint16_t v)
 {
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
+    buf[off] = static_cast<std::uint8_t>(v);
+    buf[off + 1] = static_cast<std::uint8_t>(v >> 8);
 }
 
 void
-putU32(std::vector<std::uint8_t> &buf, std::uint32_t v)
+setU32(std::span<std::uint8_t> buf, std::size_t off, std::uint32_t v)
 {
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf.push_back(static_cast<std::uint8_t>(v >> 24));
+    buf[off] = static_cast<std::uint8_t>(v);
+    buf[off + 1] = static_cast<std::uint8_t>(v >> 8);
+    buf[off + 2] = static_cast<std::uint8_t>(v >> 16);
+    buf[off + 3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint16_t
@@ -35,29 +37,33 @@ getU32(std::span<const std::uint8_t> buf, std::size_t off)
            (static_cast<std::uint32_t>(buf[off + 3]) << 24);
 }
 
+/** Request layout: op (1 B), key length (u16), key, value length
+ *  (u32), value. The buffer is sized once and filled in place. */
+std::vector<std::uint8_t>
+encodeRequest(KvOp op, const std::string &key,
+              std::span<const std::uint8_t> value)
+{
+    std::vector<std::uint8_t> buf(3 + key.size() + 4 + value.size());
+    buf[0] = static_cast<std::uint8_t>(op);
+    setU16(buf, 1, static_cast<std::uint16_t>(key.size()));
+    std::copy(key.begin(), key.end(), buf.begin() + 3);
+    setU32(buf, 3 + key.size(), static_cast<std::uint32_t>(value.size()));
+    std::copy(value.begin(), value.end(), buf.begin() + 3 + key.size() + 4);
+    return buf;
+}
+
 } // namespace
 
 std::vector<std::uint8_t>
 kvEncodeGet(const std::string &key)
 {
-    std::vector<std::uint8_t> buf;
-    buf.push_back(static_cast<std::uint8_t>(KvOp::Get));
-    putU16(buf, static_cast<std::uint16_t>(key.size()));
-    buf.insert(buf.end(), key.begin(), key.end());
-    putU32(buf, 0);
-    return buf;
+    return encodeRequest(KvOp::Get, key, {});
 }
 
 std::vector<std::uint8_t>
 kvEncodeSet(const std::string &key, std::span<const std::uint8_t> value)
 {
-    std::vector<std::uint8_t> buf;
-    buf.push_back(static_cast<std::uint8_t>(KvOp::Set));
-    putU16(buf, static_cast<std::uint16_t>(key.size()));
-    buf.insert(buf.end(), key.begin(), key.end());
-    putU32(buf, static_cast<std::uint32_t>(value.size()));
-    buf.insert(buf.end(), value.begin(), value.end());
-    return buf;
+    return encodeRequest(KvOp::Set, key, value);
 }
 
 std::optional<KvRequest>
@@ -84,10 +90,10 @@ kvDecodeRequest(std::span<const std::uint8_t> buf)
 std::vector<std::uint8_t>
 kvEncodeResponse(KvStatus status, std::span<const std::uint8_t> value)
 {
-    std::vector<std::uint8_t> buf;
-    buf.push_back(static_cast<std::uint8_t>(status));
-    putU32(buf, static_cast<std::uint32_t>(value.size()));
-    buf.insert(buf.end(), value.begin(), value.end());
+    std::vector<std::uint8_t> buf(5 + value.size());
+    buf[0] = static_cast<std::uint8_t>(status);
+    setU32(buf, 1, static_cast<std::uint32_t>(value.size()));
+    std::copy(value.begin(), value.end(), buf.begin() + 5);
     return buf;
 }
 

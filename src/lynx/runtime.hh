@@ -97,7 +97,11 @@ class AccelHandle
             f->start();
     }
 
-    /** Carve an mqueue region out of the accelerator's memory. */
+    /**
+     * Carve an mqueue region out of the accelerator's memory and
+     * commit its pages, so their first touch is paid at set-up and
+     * not by the first message to reach each ring page.
+     */
     MqueueLayout
     allocQueue(std::uint32_t slots, std::uint32_t slotBytes)
     {
@@ -108,6 +112,7 @@ class AccelHandle
         allocOff_ += (l.totalBytes() + 63) / 64 * 64;
         LYNX_ASSERT(allocOff_ <= mem_.size(), name_,
                     ": out of device memory for mqueues");
+        mem_.clear(l.base, l.totalBytes());
         return l;
     }
 

@@ -19,6 +19,10 @@
  * Watchers are indexed by start offset, so a write costs a binary
  * search plus the watchers that start near it, however many mqueues
  * share the region (docs/INTERNALS.md §2 has the firing rules).
+ *
+ * The bytes are demand-zero anonymous pages: a region reads as zeros
+ * but costs resident memory only for the pages that are written, so
+ * a 16 MiB GPU serving one ring holds one ring's worth of pages.
  */
 
 #ifndef LYNX_PCIE_MEMORY_HH
@@ -33,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "sim/logging.hh"
 
 namespace lynx::pcie {
@@ -46,7 +52,7 @@ class DeviceMemory
                                             std::uint64_t len)>;
 
     DeviceMemory(std::string name, std::uint64_t size)
-        : name_(std::move(name)), bytes_(size, 0)
+        : name_(std::move(name)), size_(size), bytes_(mapZeroed(size))
     {}
 
     DeviceMemory(const DeviceMemory &) = delete;
@@ -56,15 +62,27 @@ class DeviceMemory
     const std::string &name() const { return name_; }
 
     /** @return region size in bytes. */
-    std::uint64_t size() const { return bytes_.size(); }
+    std::uint64_t size() const { return size_; }
 
     /** Copy @p data into the region at @p off; fires watchpoints. */
     void
     write(std::uint64_t off, std::span<const std::uint8_t> data)
     {
         checkRange(off, data.size());
-        std::copy(data.begin(), data.end(), bytes_.begin() + off);
+        std::copy(data.begin(), data.end(), bytes_.get() + off);
         notify(off, data.size());
+    }
+
+    /**
+     * Zero [off, off+len) without firing watchpoints. Zeroing also
+     * commits the pages, so a carver calls it to pay their first-touch
+     * cost up front rather than inside the timed run.
+     */
+    void
+    clear(std::uint64_t off, std::uint64_t len)
+    {
+        checkRange(off, len);
+        std::fill_n(bytes_.get() + off, len, std::uint8_t{0});
     }
 
     /** Copy @p out.size() bytes starting at @p off into @p out. */
@@ -72,7 +90,7 @@ class DeviceMemory
     read(std::uint64_t off, std::span<std::uint8_t> out) const
     {
         checkRange(off, out.size());
-        std::copy_n(bytes_.begin() + off, out.size(), out.begin());
+        std::copy_n(bytes_.get() + off, out.size(), out.begin());
     }
 
     /** Write a little-endian 32-bit word. */
@@ -121,7 +139,7 @@ class DeviceMemory
     view(std::uint64_t off, std::uint64_t len) const
     {
         checkRange(off, len);
-        return {bytes_.data() + off, len};
+        return {bytes_.get() + off, len};
     }
 
     /**
@@ -161,6 +179,32 @@ class DeviceMemory
     }
 
   private:
+    /** Returns a mapping's pages to the kernel. */
+    struct Unmap
+    {
+        std::uint64_t len;
+        void operator()(std::uint8_t *p) const { ::munmap(p, len); }
+    };
+    using Pages = std::unique_ptr<std::uint8_t, Unmap>;
+
+    /**
+     * Map @p size bytes of private anonymous memory. The kernel hands
+     * out a zero page on first touch, so unwritten pages are neither
+     * filled nor resident. (A heap block would not do: the allocator
+     * may recycle one freed by an earlier region and zero it again.)
+     */
+    static Pages
+    mapZeroed(std::uint64_t size)
+    {
+        if (size == 0)
+            return Pages(nullptr, Unmap{0});
+        void *p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        LYNX_ASSERT(p != MAP_FAILED, "cannot map ", size,
+                    " bytes of device memory");
+        return Pages(static_cast<std::uint8_t *>(p), Unmap{size});
+    }
+
     struct Watcher
     {
         std::uint64_t id;
@@ -177,9 +221,9 @@ class DeviceMemory
     void
     checkRange(std::uint64_t off, std::uint64_t len) const
     {
-        LYNX_ASSERT(off + len <= bytes_.size(),
+        LYNX_ASSERT(off + len <= size_,
                     "access [", off, ", ", off + len, ") out of bounds of ",
-                    name_, " (size ", bytes_.size(), ")");
+                    name_, " (size ", size_, ")");
     }
 
     /**
@@ -248,7 +292,8 @@ class DeviceMemory
     }
 
     std::string name_;
-    std::vector<std::uint8_t> bytes_;
+    std::uint64_t size_;
+    Pages bytes_;
     /** Sorted by (off, id); ids grow, so inserts keep the tie order. */
     std::vector<std::unique_ptr<Watcher>> watchers_;
     /** Longest watched length among the entries in watchers_. */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for DeviceMemory (bounds, word helpers, watchpoints) and the
- * PCIe fabric cost model.
+ * Tests for DeviceMemory (bounds, word helpers, watchpoints, demand-zero
+ * backing) and the PCIe fabric cost model.
  */
 
 #include <gtest/gtest.h>
@@ -9,13 +9,18 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "lynx/calibration.hh"
+#include "lynx/runtime.hh"
+#include "net/network.hh"
 #include "pcie/fabric.hh"
 #include "pcie/memory.hh"
 #include "sim/random.hh"
@@ -42,6 +47,90 @@ TEST(DeviceMemory, FreshMemoryIsZeroed)
     mem.read(0, out);
     for (auto b : out)
         EXPECT_EQ(b, 0);
+}
+
+TEST(DeviceMemory, FreshRegionReadsZeroAtItsEnds)
+{
+    constexpr std::uint64_t kSize = 16 << 20;
+    pcie::DeviceMemory mem("gpu0", kSize);
+    EXPECT_EQ(mem.size(), kSize);
+    for (std::uint64_t off : {std::uint64_t{0}, kSize / 2, kSize - 1})
+        EXPECT_EQ(mem.view(off, 1)[0], 0) << "byte " << off;
+}
+
+TEST(DeviceMemory, ClearZeroesWithoutFiringWatchers)
+{
+    pcie::DeviceMemory mem("gpu0", 256);
+    mem.write(0, std::vector<std::uint8_t>(256, 0xab));
+    int fired = 0;
+    mem.watch(0, 256, [&](std::uint64_t, std::uint64_t) { ++fired; });
+
+    mem.clear(64, 100);
+    EXPECT_EQ(fired, 0);
+    auto v = mem.view(0, 256);
+    for (std::uint64_t i = 0; i < 256; ++i) {
+        std::uint8_t want = i >= 64 && i < 164 ? 0 : 0xab;
+        ASSERT_EQ(v[i], want) << "byte " << i;
+    }
+}
+
+TEST(DeviceMemory, CarvedRingReadsZero)
+{
+    sim::Simulator s;
+    net::Network nw{s};
+    sim::Core arm{s, "snic.arm0"};
+    pcie::DeviceMemory mem("gpu0.mem", 1 << 20);
+    // Dirty the bytes the ring will cover: the carve hands them out
+    // zeroed whatever they held.
+    mem.write(0, std::vector<std::uint8_t>(96 << 10, 0xab));
+
+    core::RuntimeConfig cfg;
+    cfg.cores = {&arm};
+    cfg.nic = &nw.addNic("snic");
+    cfg.stack = calibration::vmaXeon();
+    core::Runtime rt(s, cfg);
+    auto &accel = rt.addAccelerator("gpu0", mem, rdma::RdmaPathModel{});
+    core::MqueueLayout l = accel.allocQueue(16, 2048);
+    core::MqueueLayout next = accel.allocQueue(16, 2048);
+
+    auto ring = mem.view(l.base, l.totalBytes());
+    EXPECT_TRUE(std::all_of(ring.begin(), ring.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+    EXPECT_GE(next.base, l.base + l.totalBytes());
+    EXPECT_EQ(mem.view(next.base, 1)[0], 0);
+}
+
+namespace {
+
+/** @return this process's resident set size in bytes (0 if unknown). */
+std::uint64_t
+residentBytes()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoull(line.substr(6)) << 10; // reported in kB
+    }
+    return 0;
+}
+
+} // namespace
+
+TEST(DeviceMemory, UntouchedPagesCostNoResidentMemory)
+{
+    const std::uint64_t before = residentBytes();
+    if (before == 0)
+        GTEST_SKIP() << "no VmRSS in /proc/self/status";
+    constexpr std::uint64_t kSize = 256ull << 20;
+    pcie::DeviceMemory mem("big", kSize);
+    mem.writeU64(0, 0x0123456789abcdefull);
+    mem.writeU64(kSize - 8, 0xfedcba9876543210ull);
+    EXPECT_EQ(mem.readU64(0), 0x0123456789abcdefull);
+    EXPECT_EQ(mem.readU64(kSize - 8), 0xfedcba9876543210ull);
+    const std::uint64_t after = residentBytes();
+    EXPECT_LT(after, before + (8u << 20))
+        << "resident set grew by " << ((after - before) >> 20)
+        << " MiB for a 256 MiB region with two 8-byte writes";
 }
 
 TEST(DeviceMemory, WordHelpersAreLittleEndian)

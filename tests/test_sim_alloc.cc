@@ -5,7 +5,9 @@
  * overhaul (timing wheel + EventFn + pooled payloads + pooled frames)
  * cannot silently regress.
  *
- * The global operator new/delete are replaced with counting wrappers.
+ * The global operator new/delete are replaced with counting wrappers
+ * (counting_new.cc, a translation unit of its own so no call site sees
+ * an inlined replacement to pair with the wrong release).
  * An echo scenario (client NIC <-> echo server over the fabric) is
  * warmed up until every pool, ring and wheel bucket has its capacity,
  * then a measured window of round trips runs with the allocation
@@ -20,10 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_new.hh"
 #include "lynx/tenant.hh"
 #include "net/message.hh"
 #include "net/network.hh"
@@ -36,96 +37,6 @@
 
 using namespace lynx;
 using namespace lynx::sim::literals;
-
-namespace {
-
-std::uint64_t g_allocCount = 0;
-
-} // namespace
-
-// Counting wrappers around the global allocator. All variants must be
-// covered: the engine uses both plain and aligned forms.
-void *
-operator new(std::size_t n)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(std::size_t n, std::align_val_t align)
-{
-    ++g_allocCount;
-    if (void *p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (n + static_cast<std::size_t>(align) -
-                                      1) &
-                                         ~(static_cast<std::size_t>(align) -
-                                           1)))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n, std::align_val_t align)
-{
-    return ::operator new(n, align);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
